@@ -31,6 +31,10 @@ class WidthTooLarge(ValueError):
     """Raised when exhaustive enumeration is requested beyond width 16."""
 
 
+class UnknownWidth(ValueError):
+    """Raised for a block width n whose factorization of 2^n - 1 is unknown."""
+
+
 class UnknownScheme(KeyError):
     """Raised for a scheme name missing from the bound registry."""
 
@@ -197,12 +201,11 @@ _MERSENNE_FACTORS = {
 
 def _totient_of_mersenne(n: int) -> int:
     factors = _MERSENNE_FACTORS.get(n)
-    if factors is not None:
-        assert math.prod(factors) == (1 << n) - 1
-        return math.prod(f - 1 for f in factors)
-    from sympy import totient  # heavyweight fallback for unusual widths
-
-    return int(totient((1 << n) - 1))
+    if factors is None:
+        known = sorted(_MERSENNE_FACTORS)
+        raise UnknownWidth(f"phi(2^n - 1) is tabulated only for n in {known}, got {n}")
+    assert math.prod(factors) == (1 << n) - 1
+    return math.prod(f - 1 for f in factors)
 
 
 def _pow2(n: int) -> int:

@@ -243,13 +243,6 @@ def hctr_keydep_recover(k1: BlockCipher, x: BitString, ciphertext: BitString) ->
     return field.sqrt(h_squared)
 
 
-def _counter_span(variant: XcbVariant, m: int) -> range:
-    """1-based block indices covered by the counter layer."""
-    if variant.version == "v1":
-        return range(2, m + 1)
-    return range(1, m)
-
-
 def swap_blocks(data: BitString, i: int, j: int) -> BitString:
     """Swap 128-bit blocks i and j (1-based) of a bit string."""
     blocks = parse_n(data)
@@ -278,9 +271,10 @@ def xcb_cycling_forge(
     j (1-based, j-i a multiple of weak_order) must both lie in the counter
     span of the variant.  When every hash key of the hidden key set has
     multiplicative order dividing j-i, both hash layers are unchanged by
-    the swap, the keystream P xor C carries over, and the forgery equals
-    the true encryption of the swapped plaintext; for honest random keys it
-    fails.  The forge itself is key-blind and always returns a candidate.
+    the swap, the keystream P xor C carries over, and the forgery
+    C xor P xor swap(P) equals the true encryption of the swapped
+    plaintext; for honest random keys it fails.  The forge itself is
+    key-blind and always returns a candidate.
     """
     if plaintext.bitlen != ciphertext.bitlen:
         raise ValueError("plaintext and ciphertext lengths differ")
@@ -290,25 +284,12 @@ def xcb_cycling_forge(
     if weak_order < 1 or (j - i) % weak_order != 0:
         raise ValueError(f"swap distance {j - i} is not a multiple of {weak_order}")
     m = (plaintext.bitlen + BLOCK_BITS - 1) // BLOCK_BITS
-    span = _counter_span(variant, m)
+    span = variant.counter_span(m)
     if i not in span or j not in span:
         raise IndexOutOfSpan(
             f"blocks {i},{j} outside counter span {span.start}..{span.stop - 1}"
         )
-    if i == j:
-        return ciphertext
-
-    p_blocks = parse_n(plaintext)
-    c_blocks = parse_n(ciphertext)
-    if p_blocks[i - 1].bitlen != BLOCK_BITS or p_blocks[j - 1].bitlen != BLOCK_BITS:
-        raise IndexOutOfSpan("only full 128-bit blocks can be swapped")
-    delta = p_blocks[i - 1] ^ p_blocks[j - 1]
-    c_blocks[i - 1] = c_blocks[i - 1] ^ delta
-    c_blocks[j - 1] = c_blocks[j - 1] ^ delta
-    out = c_blocks[0]
-    for b in c_blocks[1:]:
-        out = out + b
-    return out
+    return ciphertext ^ plaintext ^ swap_blocks(plaintext, i, j)
 
 
 def weak_key_scan(h: FieldElement, max_order: int) -> AttackReport:

@@ -18,54 +18,28 @@ import sys
 
 from . import analysis, attacks, modes
 from .field import FieldElement, element_of_order
-from .modes import TesKeySet
 from .polyhash import BitString
 
-_XCB_MODES = modes.VARIANTS
-MODE_NAMES = (*_XCB_MODES, "hctr", "hctr-fix")
 
-_KEY_BYTES = {
-    "xcbv1": (16,),
-    "mxcbv1": (16,),
-    "xcbv2": (16, 24, 32),
-    "mxcbv2": (16, 24, 32),
-    "hctr": (32,),
-    "hctr-fix": (32,),
-}
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
 
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
 
-def _parse_key(mode: str, key_hex: str) -> bytes:
-    key = bytes.fromhex(key_hex)
-    if len(key) not in _KEY_BYTES[mode]:
-        allowed = "/".join(str(n) for n in _KEY_BYTES[mode])
-        raise ValueError(f"mode {mode} needs a {allowed}-byte key, got {len(key)}")
-    return key
-
-
-def _keyset(mode: str, key: bytes) -> TesKeySet:
-    if mode in ("xcbv1", "mxcbv1"):
-        return modes.derive_keys_v1(key)
-    if mode in ("xcbv2", "mxcbv2"):
-        return modes.derive_keys_v2(key)
-    return modes.hctr_keys(key)
-
-
-def _apply_mode(mode: str, keys: TesKeySet, tweak: BitString, data: BitString,
-                encrypt: bool, allow_partial: bool) -> BitString:
-    if mode in _XCB_MODES:
-        fn = modes.xcb_encrypt if encrypt else modes.xcb_decrypt
-        return fn(_XCB_MODES[mode], keys, tweak, data, allow_partial=allow_partial)
-    fn = modes.hctr_encrypt if encrypt else modes.hctr_decrypt
-    return fn(keys, tweak, data, fixed_hash=(mode == "hctr-fix"))
+    return count
 
 
 def _cmd_crypt(args: argparse.Namespace, encrypt: bool) -> int:
-    key = _parse_key(args.mode, args.key)
+    mode = modes.MODES[args.mode]
+    keys = mode.derive(bytes.fromhex(args.key))
     tweak = BitString(bytes.fromhex(args.tweak))
     with open(getattr(args, "in"), "rb") as f:
         data = BitString(f.read())
-    keys = _keyset(args.mode, key)
-    result = _apply_mode(args.mode, keys, tweak, data, encrypt, args.allow_insecure_partial)
+    result = mode.crypt(keys, tweak, data, encrypt, args.allow_insecure_partial)
     with open(args.out, "wb") as f:
         f.write(result.to_bytes())
     return 0
@@ -112,19 +86,17 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         return 0 if match else 1
 
     if args.attack == "xcb-cycle":
-        variant = _XCB_MODES[args.mode]
+        variant = modes.VARIANTS[args.mode]
         weak = element_of_order(args.order)
-        if variant.version == "v1":
-            keys = modes.inject_subkeys(
-                modes.derive_keys_v1(rng.randbytes(16)), h1=weak, h2=weak
-            )
-        else:
-            keys = modes.inject_subkeys(modes.derive_keys_v2(rng.randbytes(16)), h=weak)
+        keys = modes.MODES[args.mode].derive(rng.randbytes(16))
+        weak_keys = {name: weak for name in ("h1", "h2", "h") if getattr(keys, name) is not None}
+        keys = modes.inject_subkeys(keys, **weak_keys)
         if args.swap:
             i, j = (int(part) for part in args.swap.split(","))
         else:
-            i = 1 if variant.version == "v2" else 2
-            j = i + args.order
+            # The first counter-covered block and the one args.order after it.
+            span = variant.counter_span(args.order + 2)
+            i, j = span[0], span[-1]
         nblocks = j + 1
         tweak = BitString(rng.randbytes(16))
         plaintext = BitString(rng.randbytes(16 * nblocks))
@@ -189,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, doc in (("encrypt", "encrypt a file"), ("decrypt", "decrypt a file")):
         p = sub.add_parser(name, help=doc)
-        p.add_argument("--mode", required=True, choices=MODE_NAMES)
+        p.add_argument("--mode", required=True, choices=modes.MODES)
         p.add_argument("--key", required=True, help="key as hex")
         p.add_argument("--tweak", default="", help="tweak as hex (default empty)")
         p.add_argument("--in", required=True, help="input file")
@@ -206,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         "attack",
         choices=("hctr-distinguish", "hctr-recover", "hctr-keydep", "xcb-cycle"),
     )
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_int_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--order", type=int, default=3, help="weak-key order for xcb-cycle")
     p.add_argument("--swap", default=None, help="i,j block indices for xcb-cycle")
@@ -226,11 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weakkey", help="scan a hash key for small-order subgroups")
     p.add_argument("--h", required=True, help="hash key as 32 hex chars")
-    p.add_argument("--max-order", type=int, default=1 << 20)
+    p.add_argument("--max-order", type=_int_at_least(0), default=1 << 20)
 
     p = sub.add_parser("incsets", help="counter-offset set analysis")
     p.add_argument("--width", type=int, default=8)
-    p.add_argument("--rmax", type=int, default=255)
+    p.add_argument("--rmax", type=_int_at_least(0), default=255)
 
     return parser
 

@@ -1,22 +1,28 @@
 """Wide-block tweakable enciphering schemes.
 
-Six length-preserving modes built from the hash-counter-hash sandwich:
+Six length-preserving modes, each one pass of the same hash-counter-hash
+pipeline (``_hash_counter_hash``):
 
 * ``xcbv1``  -- two hash keys, special first block, 32-bit-increment counter
 * ``xcbv2``  -- one hash key, special last block, 32-bit-increment counter
 * ``mxcbv1`` / ``mxcbv2`` -- the same constructions with the XOR-index counter
-* ``hctr`` (and its repaired-hash variant) -- two independent master keys
+* ``hctr`` (and its repaired-hash variant) -- two independent master keys,
+  special first block, XOR-index counter
 
-Decryption is the mechanical inversion of each encryption pipeline: the
-three layers are reversed, swapping the forward/backward direction of the
-block cipher at the special block.
+The special block x meets the block cipher under one of two rules.  XCB
+enciphers then adds: S = E(x) xor H, output D(S xor H').  HCTR adds then
+enciphers: U = x xor H, V = pi(U), S = U xor V, output V xor H'.  Decryption
+runs the same pipeline with the two hashes swapped, and with Ke and Kd
+swapped in XCB or pi = D in place of E in HCTR.  ``MODES`` maps each mode
+name to its key derivation and its cipher call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import ctr
 from .blockcipher import AesCipher, BadKeyLength, BlockCipher
@@ -31,6 +37,9 @@ from .polyhash import (
 )
 
 CipherFactory = Callable[[bytes], BlockCipher]
+_Hash = Callable[[BitString], BitString]
+#: (special block, first hash) -> (counter seed, finish(second hash) -> output block)
+_SpecialRule = Callable[[BitString, BitString], tuple[BitString, _Hash]]
 
 #: Both payload and tweak are capped at 2^39 bits.
 MAX_BITS = 1 << 39
@@ -60,6 +69,17 @@ class XcbVariant:
     def name(self) -> str:
         prefix = "xcb" if self.counter_family == "inc32" else "mxcb"
         return prefix + self.version
+
+    @property
+    def special_last(self) -> bool:
+        """Where the special block sits: last in v2, first in v1."""
+        return self.version == "v2"
+
+    def counter_span(self, m: int) -> range:
+        """1-based indices of the blocks the counter layer covers in an
+        m-block payload: all but the special block."""
+        start = 1 if self.special_last else 2
+        return range(start, start + m - 1)
 
     def counter(self, cipher: BlockCipher, s: BitString, data: BitString) -> BitString:
         if self.counter_family == "inc32":
@@ -107,7 +127,7 @@ def derive_keys_v1(master: bytes, factory: CipherFactory = AesCipher) -> TesKeyS
     Ke = E(0), Kd = E(..100), Kc = E(..010).
     """
     if len(master) != 16:
-        raise BadKeyLength("this construction uses a fixed 128-bit master key")
+        raise BadKeyLength(f"this construction uses a fixed 16-byte master key, got {len(master)}")
     em = factory(master)
     h1 = FieldElement.from_bytes(em.encrypt_block(_constant_block(0x01)))
     h2 = FieldElement.from_bytes(em.encrypt_block(_constant_block(0x03)))
@@ -133,7 +153,7 @@ def derive_keys_v2(master: bytes, factory: CipherFactory = AesCipher) -> TesKeyS
     only the first constant of each pair.
     """
     if len(master) not in (16, 24, 32):
-        raise BadKeyLength("master key must be 16, 24 or 32 bytes")
+        raise BadKeyLength(f"master key must be 16, 24 or 32 bytes, got {len(master)}")
     em = factory(master)
     klen = len(master)
 
@@ -155,7 +175,7 @@ def hctr_keys(master: bytes, factory: CipherFactory = AesCipher) -> TesKeySet:
     """Key set for HCTR, whose two master keys are independent: the first
     16 bytes key the block cipher, the last 16 are the hash key."""
     if len(master) != 32:
-        raise BadKeyLength("HCTR takes 32 bytes: cipher key then hash key")
+        raise BadKeyLength(f"HCTR takes 32 bytes (cipher key then hash key), got {len(master)}")
     return TesKeySet(
         scheme="hctr",
         master=bytes(master),
@@ -186,14 +206,6 @@ def _check_bounds(tweak: BitString, payload: BitString) -> None:
         raise LengthBounds(f"tweak must be at most 2^39 bits, got {tweak.bitlen}")
 
 
-def _check_v2_alignment(variant: XcbVariant, payload: BitString, allow_partial: bool) -> None:
-    if variant.version == "v2" and payload.bitlen % BLOCK_BITS and not allow_partial:
-        raise PartialBlockRejected(
-            "this variant is insecure for payloads that are not a multiple of "
-            "128 bits; pass the explicit insecure-mode flag to force it"
-        )
-
-
 def _pad_to_blocks(x: BitString) -> BitString:
     if x.bitlen % BLOCK_BITS == 0:
         return x
@@ -205,78 +217,20 @@ def _require_scheme(keys: TesKeySet, scheme: str) -> None:
         raise ValueError(f"key set is for {keys.scheme!r}, expected {scheme!r}")
 
 
-def xcb_encrypt(
-    variant: XcbVariant,
-    keys: TesKeySet,
-    tweak: BitString,
-    payload: BitString,
-    allow_partial: bool = False,
-) -> BitString:
-    _require_scheme(keys, "xcb" + variant.version)
-    _check_bounds(tweak, payload)
-    _check_v2_alignment(variant, payload, allow_partial)
-    if variant.version == "v1":
-        return _xcb_v1(variant, keys, tweak, payload, forward=True)
-    return _xcb_v2(variant, keys, tweak, payload, forward=True)
+def _xcb_hashes(variant: XcbVariant, keys: TesKeySet, tweak: BitString) -> tuple[_Hash, _Hash]:
+    """The first and second hash of an XCB variant.
 
-
-def xcb_decrypt(
-    variant: XcbVariant,
-    keys: TesKeySet,
-    tweak: BitString,
-    payload: BitString,
-    allow_partial: bool = False,
-) -> BitString:
-    _require_scheme(keys, "xcb" + variant.version)
-    _check_bounds(tweak, payload)
-    _check_v2_alignment(variant, payload, allow_partial)
-    if variant.version == "v1":
-        return _xcb_v1(variant, keys, tweak, payload, forward=False)
-    return _xcb_v2(variant, keys, tweak, payload, forward=False)
-
-
-def _xcb_v1(
-    variant: XcbVariant,
-    keys: TesKeySet,
-    tweak: BitString,
-    data: BitString,
-    forward: bool,
-) -> BitString:
-    """Special first block; counter layer covers blocks 2..m."""
-    first = data.msb(BLOCK_BITS)
-    tail = data.lsb(data.bitlen - BLOCK_BITS)
-
-    if forward:
-        cc = BitString(keys.ke.encrypt_block(first.data))
-        s = cc ^ field_to_block(xcb_hash(keys.h1, tail, tweak))
-        out_tail = variant.counter(keys.kc, s, tail) if tail.bitlen else tail
-        mm = s ^ field_to_block(xcb_hash(keys.h2, out_tail, tweak))
-        out_first = BitString(keys.kd.decrypt_block(mm.data))
-    else:
-        mm = BitString(keys.kd.encrypt_block(first.data))
-        s = mm ^ field_to_block(xcb_hash(keys.h2, tail, tweak))
-        out_tail = variant.counter(keys.kc, s, tail) if tail.bitlen else tail
-        cc = s ^ field_to_block(xcb_hash(keys.h1, out_tail, tweak))
-        out_first = BitString(keys.ke.decrypt_block(cc.data))
-    return out_first + out_tail
-
-
-def _xcb_v2(
-    variant: XcbVariant,
-    keys: TesKeySet,
-    tweak: BitString,
-    data: BitString,
-    forward: bool,
-) -> BitString:
-    """Special last block; counter layer covers blocks 1..m-1.
-
-    The first hash takes (0^128 || tweak) against the padded head blocks
-    followed by 0^128; the second takes (tweak || 0^128) against the padded
-    head blocks followed by an explicit length block, with the hash's own
+    v1 hashes (blocks, tweak) under h1 and then under h2.  v2 uses its one
+    key twice: the first hash takes (0^128 || tweak) against the padded
+    blocks followed by 0^128; the second takes (tweak || 0^128) against the
+    padded blocks followed by an explicit length block, with the hash's own
     length term suppressed since the assembled argument already carries it.
     """
-    last = data.lsb(BLOCK_BITS)
-    head = data.msb(data.bitlen - BLOCK_BITS)
+    if variant.version == "v1":
+        return (
+            lambda blocks: field_to_block(xcb_hash(keys.h1, blocks, tweak)),
+            lambda blocks: field_to_block(xcb_hash(keys.h2, blocks, tweak)),
+        )
 
     def first_hash(blocks: BitString) -> BitString:
         arg = _pad_to_blocks(blocks) + BLOCK
@@ -287,19 +241,96 @@ def _xcb_v2(
         arg = _pad_to_blocks(blocks) + lb
         return field_to_block(xcb_hash(keys.h, tweak + BLOCK, arg, include_length=False))
 
-    if forward:
-        cc = BitString(keys.ke.encrypt_block(last.data))
-        s = cc ^ first_hash(head)
-        out_head = variant.counter(keys.kc, s, head) if head.bitlen else head
-        mm = s ^ second_hash(out_head)
-        out_last = BitString(keys.kd.decrypt_block(mm.data))
+    return first_hash, second_hash
+
+
+def _encipher_then_add(e: BlockCipher, d: BlockCipher, x: BitString, h: BitString):
+    """XCB's special block: S = E(x) xor H; the output block is D(S xor H')."""
+    s = BitString(e.encrypt_block(x.data)) ^ h
+    return s, lambda h_out: BitString(d.decrypt_block((s ^ h_out).data))
+
+
+def _add_then_encipher(pi: Callable[[bytes], bytes], x: BitString, h: BitString):
+    """HCTR's special block: U = x xor H, V = pi(U), S = U xor V; output V xor H'."""
+    u = x ^ h
+    v = BitString(pi(u.data))
+    return u ^ v, lambda h_out: v ^ h_out
+
+
+def _hash_counter_hash(data: BitString, special_last: bool, hash_in: _Hash, hash_out: _Hash,
+                       counter: Callable[[BitString, BitString], BitString],
+                       rule: _SpecialRule) -> BitString:
+    """The sandwich every mode is built from.
+
+    Split the special block x off the rest; ``rule(x, hash_in(rest))``
+    gives the counter seed S and a finisher; the counter layer runs over
+    the rest; the finisher turns ``hash_out`` of the counter output into
+    the special output block; join in the original order.
+    """
+    n = data.bitlen - BLOCK_BITS
+    if special_last:
+        rest, x = data.msb(n), data.lsb(BLOCK_BITS)
     else:
-        mm = BitString(keys.kd.encrypt_block(last.data))
-        s = mm ^ second_hash(head)
-        out_head = variant.counter(keys.kc, s, head) if head.bitlen else head
-        cc = s ^ first_hash(out_head)
-        out_last = BitString(keys.ke.decrypt_block(cc.data))
-    return out_head + out_last
+        x, rest = data.msb(BLOCK_BITS), data.lsb(n)
+    s, finish = rule(x, hash_in(rest))
+    out = counter(s, rest) if n else rest
+    y = finish(hash_out(out))
+    return out + y if special_last else y + out
+
+
+def _xcb(variant: XcbVariant, keys: TesKeySet, tweak: BitString, payload: BitString,
+         allow_partial: bool, forward: bool) -> BitString:
+    _require_scheme(keys, "xcb" + variant.version)
+    _check_bounds(tweak, payload)
+    if variant.version == "v2" and payload.bitlen % BLOCK_BITS and not allow_partial:
+        raise PartialBlockRejected(
+            "this variant is insecure for payloads that are not a multiple of "
+            "128 bits; pass the explicit insecure-mode flag to force it"
+        )
+    hash_in, hash_out = _xcb_hashes(variant, keys, tweak)
+    e, d = keys.ke, keys.kd
+    if not forward:
+        hash_in, hash_out, e, d = hash_out, hash_in, d, e
+    counter = functools.partial(variant.counter, keys.kc)
+    rule = functools.partial(_encipher_then_add, e, d)
+    return _hash_counter_hash(payload, variant.special_last, hash_in, hash_out, counter, rule)
+
+
+def xcb_encrypt(
+    variant: XcbVariant,
+    keys: TesKeySet,
+    tweak: BitString,
+    payload: BitString,
+    allow_partial: bool = False,
+) -> BitString:
+    return _xcb(variant, keys, tweak, payload, allow_partial, forward=True)
+
+
+def xcb_decrypt(
+    variant: XcbVariant,
+    keys: TesKeySet,
+    tweak: BitString,
+    payload: BitString,
+    allow_partial: bool = False,
+) -> BitString:
+    return _xcb(variant, keys, tweak, payload, allow_partial, forward=False)
+
+
+def _hctr(keys: TesKeySet, tweak: BitString, payload: BitString, fixed_hash: bool,
+          forward: bool) -> BitString:
+    """Special first block; the rest and the tweak are concatenated into a
+    single hash input on both sides of the counter layer."""
+    _require_scheme(keys, "hctr")
+    _check_bounds(tweak, payload)
+    hash_fn = hctr_hash_fixed if fixed_hash else hctr_hash
+
+    def hash_rest(blocks: BitString) -> BitString:
+        return field_to_block(hash_fn(keys.h, blocks + tweak))
+
+    counter = functools.partial(ctr.xor_ctr, keys.k)
+    pi = keys.k.encrypt_block if forward else keys.k.decrypt_block
+    rule = functools.partial(_add_then_encipher, pi)
+    return _hash_counter_hash(payload, False, hash_rest, hash_rest, counter, rule)
 
 
 def hctr_encrypt(
@@ -308,20 +339,7 @@ def hctr_encrypt(
     payload: BitString,
     fixed_hash: bool = False,
 ) -> BitString:
-    """Special first block; the tail and tweak are concatenated into a
-    single hash input on both sides of the counter layer."""
-    _require_scheme(keys, "hctr")
-    _check_bounds(tweak, payload)
-    hash_fn = hctr_hash_fixed if fixed_hash else hctr_hash
-    first = payload.msb(BLOCK_BITS)
-    tail = payload.lsb(payload.bitlen - BLOCK_BITS)
-
-    cc = first ^ field_to_block(hash_fn(keys.h, tail + tweak))
-    e_cc = BitString(keys.k.encrypt_block(cc.data))
-    s = cc ^ e_cc
-    out_tail = ctr.xor_ctr(keys.k, s, tail) if tail.bitlen else tail
-    out_first = e_cc ^ field_to_block(hash_fn(keys.h, out_tail + tweak))
-    return out_first + out_tail
+    return _hctr(keys, tweak, payload, fixed_hash, forward=True)
 
 
 def hctr_decrypt(
@@ -330,15 +348,32 @@ def hctr_decrypt(
     payload: BitString,
     fixed_hash: bool = False,
 ) -> BitString:
-    _require_scheme(keys, "hctr")
-    _check_bounds(tweak, payload)
-    hash_fn = hctr_hash_fixed if fixed_hash else hctr_hash
-    first = payload.msb(BLOCK_BITS)
-    tail = payload.lsb(payload.bitlen - BLOCK_BITS)
+    return _hctr(keys, tweak, payload, fixed_hash, forward=False)
 
-    e_cc = first ^ field_to_block(hash_fn(keys.h, tail + tweak))
-    cc = BitString(keys.k.decrypt_block(e_cc.data))
-    s = cc ^ e_cc
-    out_tail = ctr.xor_ctr(keys.k, s, tail) if tail.bitlen else tail
-    out_first = cc ^ field_to_block(hash_fn(keys.h, out_tail + tweak))
-    return out_first + out_tail
+
+class Mode(NamedTuple):
+    """A ``MODES`` entry: an XCB variant, or HCTR (``variant`` None) with or
+    without the repaired hash."""
+
+    variant: Optional[XcbVariant] = None
+    fixed_hash: bool = False
+
+    def derive(self, master: bytes) -> TesKeySet:
+        """The mode's key set from its master key."""
+        if self.variant is None:
+            return hctr_keys(master)
+        return derive_keys_v1(master) if self.variant.version == "v1" else derive_keys_v2(master)
+
+    def crypt(self, keys: TesKeySet, tweak: BitString, payload: BitString, encrypt: bool,
+              allow_partial: bool = False) -> BitString:
+        """Encipher or decipher; ``allow_partial`` matters only to the v2 variants."""
+        if self.variant is None:
+            fn = hctr_encrypt if encrypt else hctr_decrypt
+            return fn(keys, tweak, payload, self.fixed_hash)
+        fn = xcb_encrypt if encrypt else xcb_decrypt
+        return fn(self.variant, keys, tweak, payload, allow_partial)
+
+
+#: Every mode by name, in the order the CLI lists them.
+MODES = {name: Mode(variant) for name, variant in VARIANTS.items()}
+MODES |= {"hctr": Mode(), "hctr-fix": Mode(fixed_hash=True)}

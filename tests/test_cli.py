@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -170,3 +171,28 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["encrypt"])  # missing required arguments
     assert exc.value.code == 2
+
+
+def test_untabulated_bound_width_is_a_fast_data_error(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "bounds", "--n", "1024")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("attack", "hctr-distinguish", "--trials", "0"),
+    ("attack", "hctr-distinguish", "--trials", "-3"),
+    ("incsets", "--width", "32", "--rmax", "-1"),
+    ("incsets", "--width", "8", "--rmax", "-1"),
+    ("weakkey", "--h", "ff" * 16, "--max-order", "-1"),
+])
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least" in err
+    assert "Traceback" not in err

@@ -11,7 +11,7 @@ import hashlib
 import json
 
 import pytest
-from vectorgen import VECTORS, bits, crypt, derive, shake, subkeys
+from vectorgen import VECTORS, bits, shake, subkeys
 
 from wideblock import ctr, modes
 from wideblock.blockcipher import AesCipher
@@ -35,21 +35,22 @@ CTR_VECTORS = _load("ctr")
     "vector", MODE_VECTORS, ids=_ids(MODE_VECTORS, "{mode}-m{master_bytes}-t{tweak_bytes}-b{bits}")
 )
 def test_mode_vector(vector):
-    mode, nbits, partial = vector["mode"], vector["bits"], vector["allow_partial"]
-    keys = derive(mode, bytes.fromhex(vector["master"]))
+    mode = modes.MODES[vector["mode"]]
+    nbits, partial = vector["bits"], vector["allow_partial"]
+    keys = mode.derive(bytes.fromhex(vector["master"]))
     tweak = BitString(bytes.fromhex(vector["tweak"]))
     if "plaintext" in vector:
         plain = bits(bytes.fromhex(vector["plaintext"]), nbits)
     else:
         plain = bits(shake(vector["plaintext_shake"], (nbits + 7) // 8), nbits)
 
-    ct = crypt(mode, keys, tweak, plain, True, partial)
+    ct = mode.crypt(keys, tweak, plain, True, partial)
     assert ct.bitlen == nbits
     if "ciphertext" in vector:
         assert ct.data.hex() == vector["ciphertext"]
     else:
         assert hashlib.sha256(ct.data).hexdigest() == vector["ciphertext_sha256"]
-    assert crypt(mode, keys, tweak, ct, False, partial) == plain
+    assert mode.crypt(keys, tweak, ct, False, partial) == plain
 
 
 @pytest.mark.parametrize("vector", KEY_VECTORS, ids=_ids(KEY_VECTORS, "{derive}-m{master_bytes}"))

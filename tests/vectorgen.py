@@ -37,22 +37,6 @@ def bits(data: bytes, nbits: int) -> BitString:
     return BitString(data[: (nbits + 7) // 8]).msb(nbits)
 
 
-def derive(mode: str, master: bytes):
-    if mode in ("xcbv1", "mxcbv1"):
-        return modes.derive_keys_v1(master)
-    if mode in ("xcbv2", "mxcbv2"):
-        return modes.derive_keys_v2(master)
-    return modes.hctr_keys(master)
-
-
-def crypt(mode: str, keys, tweak: BitString, payload: BitString, encrypt: bool, allow_partial: bool) -> BitString:
-    if mode in modes.VARIANTS:
-        fn = modes.xcb_encrypt if encrypt else modes.xcb_decrypt
-        return fn(modes.VARIANTS[mode], keys, tweak, payload, allow_partial=allow_partial)
-    fn = modes.hctr_encrypt if encrypt else modes.hctr_decrypt
-    return fn(keys, tweak, payload, fixed_hash=mode == "hctr-fix")
-
-
 def subkeys(keys) -> dict[str, str]:
     """Hash keys as field-element hex, cipher subkeys as key hex."""
     out = {name: getattr(keys, name).to_hex() for name in ("h1", "h2", "h") if getattr(keys, name) is not None}
@@ -73,7 +57,8 @@ def mode_vector(mode: str, master: bytes, tweak_bytes: int, nbits: int) -> dict:
         "allow_partial": mode in ("xcbv2", "mxcbv2") and nbits % 128 != 0,
     }
     plain = bits(shake(label, (nbits + 7) // 8), nbits)
-    ct = crypt(mode, derive(mode, master), BitString(tweak), plain, True, vector["allow_partial"])
+    entry = modes.MODES[mode]
+    ct = entry.crypt(entry.derive(master), BitString(tweak), plain, True, vector["allow_partial"])
     if nbits <= INLINE_BITS:
         vector["plaintext"] = plain.data.hex()
         vector["ciphertext"] = ct.data.hex()
