@@ -280,6 +280,8 @@ def _hash_counter_hash(data: BitString, special_last: bool, hash_in: _Hash, hash
 
 def _xcb(variant: XcbVariant, keys: TesKeySet, tweak: BitString, payload: BitString,
          allow_partial: bool, forward: bool) -> BitString:
+    """Both directions of an XCB variant, behind the scheme, bounds and
+    v2-alignment checks."""
     _require_scheme(keys, "xcb" + variant.version)
     _check_bounds(tweak, payload)
     if variant.version == "v2" and payload.bitlen % BLOCK_BITS and not allow_partial:
@@ -353,7 +355,12 @@ def hctr_decrypt(
 
 class Mode(NamedTuple):
     """A ``MODES`` entry: an XCB variant, or HCTR (``variant`` None) with or
-    without the repaired hash."""
+    without the repaired hash.
+
+    The methods look this module's functions up when called, never hold
+    references taken at import, so a tracer that rebinds the module's names
+    also sees calls made through the registry.
+    """
 
     variant: Optional[XcbVariant] = None
     fixed_hash: bool = False
@@ -365,7 +372,7 @@ class Mode(NamedTuple):
         return derive_keys_v1(master) if self.variant.version == "v1" else derive_keys_v2(master)
 
     def crypt(self, keys: TesKeySet, tweak: BitString, payload: BitString, encrypt: bool,
-              allow_partial: bool = False) -> BitString:
+              allow_partial: bool) -> BitString:
         """Encipher or decipher; ``allow_partial`` matters only to the v2 variants."""
         if self.variant is None:
             fn = hctr_encrypt if encrypt else hctr_decrypt

@@ -39,8 +39,11 @@ def bits(data: bytes, nbits: int) -> BitString:
 
 def subkeys(keys) -> dict[str, str]:
     """Hash keys as field-element hex, cipher subkeys as key hex."""
-    out = {name: getattr(keys, name).to_hex() for name in ("h1", "h2", "h") if getattr(keys, name) is not None}
-    out |= {name: getattr(keys, name).key.hex() for name in ("ke", "kd", "kc", "k") if getattr(keys, name) is not None}
+    out = {}
+    for name in ("h1", "h2", "h", "ke", "kd", "kc", "k"):
+        value = getattr(keys, name)
+        if value is not None:
+            out[name] = value.to_hex() if name.startswith("h") else value.key.hex()
     return out
 
 
@@ -72,10 +75,12 @@ def generate() -> dict[str, list[dict]]:
     mode_vectors = []
     for mode, nbytes in MASTER_BYTES.items():
         master = shake(f"master/{mode}/{nbytes}", nbytes)
-        mode_vectors += [mode_vector(mode, master, t, b) for t in TWEAK_BYTES for b in PAYLOAD_BITS]
+        for tweak_bytes in TWEAK_BYTES:
+            mode_vectors += [mode_vector(mode, master, tweak_bytes, b) for b in PAYLOAD_BITS]
     for mode in ("xcbv2", "mxcbv2"):
         for nbytes in (24, 32):
-            mode_vectors.append(mode_vector(mode, shake(f"master/{mode}/{nbytes}", nbytes), 16, 512))
+            master = shake(f"master/{mode}/{nbytes}", nbytes)
+            mode_vectors.append(mode_vector(mode, master, 16, 512))
 
     key_vectors = []
     for name, nbytes in (
@@ -87,7 +92,8 @@ def generate() -> dict[str, list[dict]]:
     ):
         master = shake(f"derive/{name}/{nbytes}", nbytes)
         keys = getattr(modes, name)(master)
-        key_vectors.append({"derive": name, "master_bytes": nbytes, "master": master.hex(), "subkeys": subkeys(keys)})
+        vector = {"derive": name, "master_bytes": nbytes, "master": master.hex()}
+        key_vectors.append(vector | {"subkeys": subkeys(keys)})
 
     # The low 32 bits of the seed are 0xFFFFFFFE, so over four blocks the
     # 32-bit increment wraps while the XOR-index counter does not: the split
