@@ -13,6 +13,7 @@ produces identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -37,7 +38,11 @@ def _cmd_crypt(args: argparse.Namespace, encrypt: bool) -> int:
     mode = modes.MODES[args.mode]
     keys = mode.derive(bytes.fromhex(args.key))
     tweak = BitString(bytes.fromhex(args.tweak))
-    with open(getattr(args, "in"), "rb") as f:
+    path = getattr(args, "in")
+    size = os.stat(path).st_size
+    if 8 * size > modes.MAX_BITS:
+        raise ValueError(f"{path} is {size} bytes; the modes take at most 2^39 bits (64 GiB)")
+    with open(path, "rb") as f:
         data = BitString(f.read())
     result = mode.crypt(keys, tweak, data, encrypt, args.allow_insecure_partial)
     with open(args.out, "wb") as f:

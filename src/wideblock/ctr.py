@@ -38,13 +38,13 @@ def xcb_ctr(cipher: BlockCipher, s: BitString, data: BitString) -> BitString:
     cipher and seed."""
     if s.bitlen != 128:
         raise BadBlockLength("counter seed must be 128 bits")
+    seed = int.from_bytes(s.data, "big")
+    high, low = seed & ~_LOW32, seed & _LOW32
     nblocks = (data.bitlen + 127) // 128
-    counters = bytearray()
-    ctr = s.data
-    for _ in range(nblocks):
-        counters += ctr
-        ctr = _inc_bytes(ctr)
-    return _apply_keystream(data, bytes(counters), cipher)
+    counters = b"".join(
+        (high | ((low + i) & _LOW32)).to_bytes(16, "big") for i in range(nblocks)
+    )
+    return _apply_keystream(data, counters, cipher)
 
 
 def xor_ctr(cipher: BlockCipher, s: BitString, data: BitString) -> BitString:
@@ -53,7 +53,5 @@ def xor_ctr(cipher: BlockCipher, s: BitString, data: BitString) -> BitString:
         raise BadBlockLength("counter seed must be 128 bits")
     seed = int.from_bytes(s.data, "big")
     nblocks = (data.bitlen + 127) // 128
-    counters = bytearray()
-    for i in range(1, nblocks + 1):
-        counters += (seed ^ i).to_bytes(16, "big")
-    return _apply_keystream(data, bytes(counters), cipher)
+    counters = b"".join((seed ^ i).to_bytes(16, "big") for i in range(1, nblocks + 1))
+    return _apply_keystream(data, counters, cipher)

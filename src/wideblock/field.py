@@ -7,14 +7,23 @@ multiplicative identity.  The field is reduced by the fixed polynomial
     f(x) = x^128 + x^7 + x^2 + x + 1
 
 which in this ordering is the constant 0x87 plus the implicit x^128 term.
+
+Everything runs on plain ints.  Multiplying by a fixed element h (a hash
+key, or the base of ``pow``) uses h's 4-bit table (Shoup 1996; McGrew &
+Viega, "The Galois/Counter Mode of Operation", section 4): the 16 products
+n*h*x^(4i) for each of the 32 nibble positions i, about 30 KB, built on
+first use and kept on that ``FieldElement``.  A product is then one lookup
+per nibble of the other operand.  Those lookups are memory accesses indexed
+by key-dependent data, so nothing here runs in constant time (pure Python
+would not anyway); this is a study package, not a side-channel-hardened one.
 """
 
 from __future__ import annotations
 
 import math
 
-# f(x) = x^128 + x^7 + x^2 + x + 1, with the x^128 bit kept explicit so the
-# shift-and-reduce loop can clear it in one XOR.
+# f(x) = x^128 + x^7 + x^2 + x + 1, with the x^128 bit kept explicit so a
+# shift by x can clear it in one XOR.
 REDUCTION_POLY = (1 << 128) | 0x87
 
 _MASK128 = (1 << 128) - 1
@@ -51,9 +60,14 @@ class NotADivisor(ValueError):
 
 
 class FieldElement:
-    """An element of GF(2^128), stored as a 128-bit integer."""
+    """An element of GF(2^128), stored as a 128-bit integer.
 
-    __slots__ = ("value",)
+    A second slot holds the element's multiplication table once it has been
+    used as a fixed multiplier; equality, hashing and immutability depend on
+    ``value`` alone.
+    """
+
+    __slots__ = ("value", "_mul_table")
 
     def __init__(self, value: int):
         if not 0 <= value <= _MASK128:
@@ -103,6 +117,73 @@ ZERO = FieldElement(0)
 ONE = FieldElement(1)
 
 
+def _times_x(v: int) -> int:
+    v <<= 1
+    return v ^ REDUCTION_POLY if v >> 128 else v
+
+
+def _row(v: int) -> tuple[list[int], int]:
+    """The 16 products n*v for the polynomials n of degree below 4, and v*x^4."""
+    row = [0] * 16
+    for bit in (1, 2, 4, 8):
+        for n in range(bit):
+            row[bit + n] = row[n] ^ v
+        v = _times_x(v)
+    return row, v
+
+
+def _reduce(p: int) -> int:
+    """p mod f for a polynomial p of degree below 256: x^128 = x^7 + x^2 + x + 1
+    folds the high half down twice (the second fold clears at most 7 bits)."""
+    for _ in range(2):
+        high = p >> 128
+        p = (p & _MASK128) ^ high ^ (high << 1) ^ (high << 2) ^ (high << 7)
+    return p
+
+
+def _key_table(h: FieldElement) -> tuple:
+    """h's multiplication table, built on first use and kept on h.
+
+    Entry j is the pair of rows for byte j of a little-endian operand: its
+    low nibble n maps to n*h*x^(8j), its high nibble to n*h*x^(8j+4).
+    """
+    try:
+        return h._mul_table
+    except AttributeError:
+        rows = []
+        v = h.value
+        for _ in range(32):
+            row, v = _row(v)
+            rows.append(tuple(row))
+        table = tuple(zip(rows[0::2], rows[1::2]))
+        object.__setattr__(h, "_mul_table", table)
+        return table
+
+
+def _times(a: int, table: tuple) -> int:
+    """a*h for the h whose table this is: one lookup per nibble of a."""
+    r = 0
+    for (low, high), byte in zip(table, a.to_bytes(16, "little")):
+        r ^= low[byte & 15] ^ high[byte >> 4]
+    return r
+
+
+# Squaring is GF(2)-linear: the coefficient of x^k moves to x^2k.  _SPREAD
+# moves a nibble's bits apart; the byte tables spread a byte's low or high
+# nibble.
+_SPREAD = [sum(((n >> k) & 1) << (2 * k) for k in range(4)) for n in range(16)]
+_SPREAD_LOW = bytes(_SPREAD[b & 15] for b in range(256))
+_SPREAD_HIGH = bytes(_SPREAD[b >> 4] for b in range(256))
+
+
+def _square(a: int) -> int:
+    octets = a.to_bytes(16, "little")
+    wide = bytearray(32)
+    wide[0::2] = octets.translate(_SPREAD_LOW)
+    wide[1::2] = octets.translate(_SPREAD_HIGH)
+    return _reduce(int.from_bytes(wide, "little"))
+
+
 def add(a: FieldElement, b: FieldElement) -> FieldElement:
     """Addition in GF(2^128): bitwise XOR."""
     return FieldElement(a.value ^ b.value)
@@ -111,52 +192,61 @@ def add(a: FieldElement, b: FieldElement) -> FieldElement:
 def mul(a: FieldElement, b: FieldElement) -> FieldElement:
     """Multiplication modulo x^128 + x^7 + x^2 + x + 1.
 
-    Shift-and-add over the bits of b; the running multiple of a is reduced
-    whenever it reaches degree 128, so intermediates stay at 129 bits.
+    A 4-bit window: the 16 multiples of a, then one shift and two lookups
+    per byte of b, then one reduction of the 255-bit product.
     """
-    x = a.value
-    y = b.value
+    window, _ = _row(a.value)
     acc = 0
-    while y:
-        if y & 1:
-            acc ^= x
-        y >>= 1
-        x <<= 1
-        if x >> 128:
-            x ^= REDUCTION_POLY
-    return FieldElement(acc)
+    for byte in b.value.to_bytes(16, "big"):
+        acc = (acc << 8) ^ (window[byte >> 4] << 4) ^ window[byte & 15]
+    return FieldElement(_reduce(acc))
 
 
 def square(a: FieldElement) -> FieldElement:
-    return mul(a, a)
+    return FieldElement(_square(a.value))
 
 
 def pow(a: FieldElement, e: int) -> FieldElement:  # noqa: A001 - mirrors math naming
-    """Square-and-multiply exponentiation; pow(a, 0) == 1 by convention,
-    including for a == 0."""
+    """Left-to-right square-and-multiply, so every multiply is by a and uses
+    a's table; pow(a, 0) == 1 by convention, including for a == 0."""
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    result = ONE
-    base = a
-    while e:
-        if e & 1:
-            result = mul(result, base)
-        base = mul(base, base)
-        e >>= 1
-    return result
+    if e == 0:
+        return ONE
+    table = _key_table(a)
+    r = a.value
+    for bit in bin(e)[3:]:
+        r = _square(r)
+        if bit == "1":
+            r = _times(r, table)
+    return FieldElement(r)
 
 
 def inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse via a^(2^128 - 2)."""
+    """Multiplicative inverse by the extended Euclidean algorithm on binary
+    polynomials (Hankerson, Menezes & Vanstone, Algorithm 2.48).
+
+    Invariants: u = g1*a and v = g2*a modulo f; g1 stays below degree 128.
+    """
     if a.value == 0:
         raise ZeroInverse("zero has no multiplicative inverse")
-    return pow(a, GROUP_ORDER - 1)
+    u, v, g1, g2 = a.value, REDUCTION_POLY, 1, 0
+    while u != 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return FieldElement(g1)
 
 
 def sqrt(a: FieldElement) -> FieldElement:
     """The unique square root; squaring is a bijection in characteristic 2,
-    and a^(2^127) inverts it."""
-    return pow(a, 1 << 127)
+    and 127 squarings (a^(2^127)) invert it."""
+    r = a.value
+    for _ in range(127):
+        r = _square(r)
+    return FieldElement(r)
 
 
 def _divisors_of_group_order() -> list[int]:

@@ -7,6 +7,12 @@ HCTR hash (blocks from power m+1 down to 2, bit length at power one, and
 the bare key for the empty string).  Inputs are bit strings: the last block
 of either argument may be partial and is zero-padded on the right before
 being used as a coefficient.
+
+Coefficients are read straight from the bytes of a ``BitString``: its bits
+are left-aligned with a zero tail, so a partial last block padded with zero
+bytes is already the zero-padded block.  Horner's rule then runs on plain
+ints with the hash key's table (``field._key_table``), whose lookups are
+key-dependent memory accesses: the hash is not constant time.
 """
 
 from __future__ import annotations
@@ -107,10 +113,12 @@ class BitString:
         return BitString.from_int((self.to_int() << other.bitlen) | other.to_int(), total)
 
     def __xor__(self, other: "BitString") -> "BitString":
+        """One int XOR; both zero tails stay zero."""
         if self.bitlen != other.bitlen:
             raise BadLength("XOR requires equal bit lengths")
-        raw = bytes(a ^ b for a, b in zip(self.data, other.data))
-        return BitString(_mask_tail(raw, self.bitlen), self.bitlen)
+        n = len(self.data)
+        raw = int.from_bytes(self.data, "big") ^ int.from_bytes(other.data, "big")
+        return BitString(raw.to_bytes(n, "big"), self.bitlen)
 
     def msb(self, r: int) -> "BitString":
         """The leading r bits."""
@@ -122,26 +130,24 @@ class BitString:
         """The trailing r bits."""
         if not 0 <= r <= self.bitlen:
             raise BadLength("lsb length out of range")
+        cut = self.bitlen - r
+        if cut % 8 == 0:
+            return BitString(self.data[cut // 8 :], r)
         return BitString.from_int(self.to_int() & ((1 << r) - 1), r)
 
 
 def parse_n(x: BitString) -> list[BitString]:
-    """Split into 128-bit blocks; the last block may be 1..128 bits."""
+    """Split into 128-bit blocks; the last block may be 1..128 bits.
+
+    Blocks start on byte boundaries whatever the bit length, and the last
+    one keeps x's zero tail, so every block is a slice of x's bytes.
+    """
     if x.bitlen == 0:
         raise EmptyString("cannot parse an empty string into blocks")
-    if x.bitlen % 8 == 0:
-        return [
-            BitString(x.data[i : i + 16], min(128, x.bitlen - 8 * i))
-            for i in range(0, len(x.data), 16)
-        ]
-    v = x.to_int()
-    blocks = []
-    remaining = x.bitlen
-    while remaining > 0:
-        width = min(BLOCK_BITS, remaining)
-        remaining -= width
-        blocks.append(BitString.from_int((v >> remaining) & ((1 << width) - 1), width))
-    return blocks
+    return [
+        BitString(x.data[i : i + 16], min(BLOCK_BITS, x.bitlen - 8 * i))
+        for i in range(0, len(x.data), 16)
+    ]
 
 
 def pad(x: BitString) -> BitString:
@@ -163,10 +169,13 @@ def field_to_block(element: FieldElement) -> BitString:
     return BitString(element.to_bytes(), BLOCK_BITS)
 
 
-def _coefficients(x: BitString) -> list[FieldElement]:
-    if x.bitlen == 0:
-        return []
-    return [block_to_field(pad(b)) for b in parse_n(x)]
+def _horner(table: tuple, acc: int, data: bytes) -> int:
+    """Horner steps acc = (acc + c)*h over the zero-padded 16-byte blocks c
+    of data, for the h whose table this is."""
+    data += bytes(-len(data) % 16)
+    for i in range(0, len(data), 16):
+        acc = field._times(acc ^ int.from_bytes(data[i : i + 16], "big"), table)
+    return acc
 
 
 def xcb_length_block(x_bits: int, t_bits: int) -> BitString:
@@ -191,13 +200,11 @@ def xcb_hash(
     assemble an explicit one inside t (the second hash of two-argument XCB
     variants with a single hash key does this).
     """
-    terms = _coefficients(x) + _coefficients(t)
+    table = field._key_table(h)
+    acc = _horner(table, _horner(table, 0, x.data), t.data)
     if include_length:
-        terms.append(block_to_field(xcb_length_block(x.bitlen, t.bitlen)))
-    acc = field.ZERO
-    for term in terms:
-        acc = field.mul(field.add(acc, term), h)
-    return acc
+        acc = field._times(acc ^ xcb_length_block(x.bitlen, t.bitlen).to_int(), table)
+    return FieldElement(acc)
 
 
 def hctr_hash(h: FieldElement, p: BitString) -> FieldElement:
@@ -205,12 +212,8 @@ def hctr_hash(h: FieldElement, p: BitString) -> FieldElement:
     blocks at powers m+1..2 with the bit length at power one."""
     if p.bitlen == 0:
         return h
-    terms = _coefficients(p)
-    terms.append(FieldElement(p.bitlen))
-    acc = field.ZERO
-    for term in terms:
-        acc = field.mul(field.add(acc, term), h)
-    return acc
+    table = field._key_table(h)
+    return FieldElement(field._times(_horner(table, 0, p.data) ^ p.bitlen, table))
 
 
 def hctr_hash_fixed(h: FieldElement, p: BitString) -> FieldElement:

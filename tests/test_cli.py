@@ -1,9 +1,10 @@
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from wideblock import field
+from wideblock import cli, field
 from wideblock.cli import main
 
 rng = random.Random(0xC11)
@@ -77,6 +78,29 @@ def test_wrong_key_length_is_a_data_error(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+@pytest.mark.parametrize("size,ok", [(1 << 36, True), ((1 << 36) + 1, False)])
+def test_input_size_is_checked_before_reading(tmp_path, capsys, monkeypatch, command, size, ok):
+    """The 2^39-bit bound is checked on the file's size, before any read:
+    a file reported one byte over it is refused with one error line even
+    though its contents are small."""
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(rng.randbytes(64))
+    out = tmp_path / "out.bin"
+    monkeypatch.setattr(cli, "os", SimpleNamespace(stat=lambda path: SimpleNamespace(st_size=size)))
+    code, _, err = run(
+        capsys, command, "--mode", "xcbv1", "--key", "00" * 16,
+        "--in", str(plain), "--out", str(out),
+    )
+    if ok:
+        assert code == 0 and out.stat().st_size == 64
+        return
+    assert code == 1
+    assert err.startswith("error:") and "2^39 bits" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bounds_table(capsys):

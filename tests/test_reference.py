@@ -1,0 +1,152 @@
+"""Every fast path against the slow reference it replaced (``gfref``).
+
+Field: the table kernel, generic ``mul``, ``square``, ``pow``, ``inv``,
+``sqrt`` and ``order_divisor``.  Hashes: all three at lengths 0-600 bits,
+partial blocks included.  ``BitString``: XOR, ``lsb`` and ``parse_n`` at
+lengths 1-600.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gfref
+from wideblock import field
+from wideblock.field import FieldElement
+from wideblock.polyhash import BitString, hctr_hash, hctr_hash_fixed, parse_n, xcb_hash
+
+elements = st.integers(min_value=0, max_value=(1 << 128) - 1).map(FieldElement)
+nonzero = st.integers(min_value=1, max_value=(1 << 128) - 1).map(FieldElement)
+
+
+@st.composite
+def bit_strings(draw, min_bits=0, max_bits=600):
+    nbits = draw(st.integers(min_value=min_bits, max_value=max_bits))
+    return BitString.from_int(draw(st.integers(min_value=0, max_value=(1 << nbits) - 1)), nbits)
+
+
+# ---------------------------------------------------------------------------
+# Field
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements, elements)
+def test_table_kernel(a, h):
+    expect = gfref.mul(a, h)
+    assert expect == gfref.mul_oracle(a, h)
+    assert field._times(a.value, field._key_table(h)) == expect.value
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements, elements)
+def test_mul(a, b):
+    assert field.mul(a, b) == gfref.mul(a, b) == gfref.mul_oracle(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements)
+def test_square(a):
+    assert field.square(a) == gfref.mul(a, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements, st.integers(min_value=0, max_value=1 << 130))
+def test_pow(a, e):
+    assert field.pow(a, e) == gfref.pow(a, e)
+
+
+@settings(max_examples=20, deadline=None)
+@given(nonzero)
+def test_inv(a):
+    assert field.inv(a) == gfref.inv(a)
+
+
+@settings(max_examples=20, deadline=None)
+@given(elements)
+def test_sqrt(a):
+    assert field.sqrt(a) == gfref.sqrt(a)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([1, 3, 5, 15, 17, 51, 255, 257, 641]),
+    st.integers(min_value=1, max_value=1 << 20),
+    st.integers(min_value=0, max_value=1 << 12),
+)
+def test_order_divisor(order, k, max_order):
+    """Powers of an element of small order have every order dividing it."""
+    h = field.pow(field.element_of_order(order), k) if order > 1 else field.ONE
+    assert field.order_divisor(h, max_order) == gfref.order_divisor(h, max_order)
+
+
+@settings(max_examples=5, deadline=None)
+@given(nonzero)
+def test_order_divisor_random_key(h):
+    assert field.order_divisor(h, 300) == gfref.order_divisor(h, 300)
+
+
+def test_cached_table_leaves_the_element_unchanged():
+    h = FieldElement(0x0123456789ABCDEF0123456789ABCDEF)
+    twin = FieldElement(h.value)
+    table = field._key_table(h)
+    assert field._key_table(h) is table
+    assert h == twin and hash(h) == hash(twin) and {h: 1}[twin] == 1
+    assert h.value == twin.value and repr(h) == repr(twin)
+    for name in ("value", "_mul_table"):
+        with pytest.raises(AttributeError):
+            setattr(h, name, 0)
+    assert field._key_table(h) is table
+
+
+# ---------------------------------------------------------------------------
+# Hashes
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements, bit_strings(), bit_strings(), st.booleans())
+def test_xcb_hash(h, x, t, include_length):
+    assert xcb_hash(h, x, t, include_length) == gfref.xcb_hash_oracle(h, x, t, include_length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements, bit_strings())
+def test_hctr_hash(h, p):
+    assert hctr_hash(h, p) == gfref.hctr_hash_oracle(h, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements, bit_strings())
+def test_hctr_hash_fixed(h, p):
+    appended = BitString.from_int(p.to_int() << 1 | 1, p.bitlen + 1)
+    assert hctr_hash_fixed(h, p) == gfref.hctr_hash_oracle(h, appended)
+
+
+# ---------------------------------------------------------------------------
+# BitString
+
+
+@st.composite
+def equal_length_pairs(draw):
+    a = draw(bit_strings(min_bits=1))
+    b = BitString.from_int(draw(st.integers(min_value=0, max_value=(1 << a.bitlen) - 1)), a.bitlen)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(equal_length_pairs())
+def test_xor(pair):
+    a, b = pair
+    assert a ^ b == gfref.xor(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_strings(min_bits=1), st.data())
+def test_lsb(x, data):
+    r = data.draw(st.integers(min_value=0, max_value=x.bitlen))
+    assert x.lsb(r) == gfref.lsb(x, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_strings(min_bits=1))
+def test_parse_n(x):
+    assert parse_n(x) == gfref.parse_n(x)
