@@ -14,16 +14,12 @@ from .polyhash import BitString, _mask_tail
 _LOW32 = 0xFFFFFFFF
 
 
-def _inc_bytes(block: bytes) -> bytes:
-    low = (int.from_bytes(block[12:], "big") + 1) & _LOW32
-    return block[:12] + low.to_bytes(4, "big")
-
-
 def inc(x: BitString) -> BitString:
     """Increment the low 32 bits of a 128-bit block modulo 2^32."""
     if x.bitlen != 128:
         raise BadBlockLength("inc operates on full 128-bit blocks")
-    return BitString(_inc_bytes(x.data), 128)
+    low = (int.from_bytes(x.data[12:], "big") + 1) & _LOW32
+    return BitString(x.data[:12] + low.to_bytes(4, "big"), 128)
 
 
 def _apply_keystream(data: BitString, counters: bytes, cipher: BlockCipher) -> BitString:

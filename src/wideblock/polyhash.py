@@ -11,8 +11,9 @@ being used as a coefficient.
 Coefficients are read straight from the bytes of a ``BitString``: its bits
 are left-aligned with a zero tail, so a partial last block padded with zero
 bytes is already the zero-padded block.  Horner's rule then runs on plain
-ints with the hash key's table (``field._key_table``), whose lookups are
-key-dependent memory accesses: the hash is not constant time.
+ints with the hash key's table (``field._key_table``, ``field._horner``),
+whose lookups are key-dependent memory accesses: the hash is not constant
+time.
 """
 
 from __future__ import annotations
@@ -169,15 +170,6 @@ def field_to_block(element: FieldElement) -> BitString:
     return BitString(element.to_bytes(), BLOCK_BITS)
 
 
-def _horner(table: tuple, acc: int, data: bytes) -> int:
-    """Horner steps acc = (acc + c)*h over the zero-padded 16-byte blocks c
-    of data, for the h whose table this is."""
-    data += bytes(-len(data) % 16)
-    for i in range(0, len(data), 16):
-        acc = field._times(acc ^ int.from_bytes(data[i : i + 16], "big"), table)
-    return acc
-
-
 def xcb_length_block(x_bits: int, t_bits: int) -> BitString:
     """64-bit big-endian bit counts of both arguments, concatenated."""
     return BitString.from_int(x_bits, 64) + BitString.from_int(t_bits, 64)
@@ -201,9 +193,9 @@ def xcb_hash(
     variants with a single hash key does this).
     """
     table = field._key_table(h)
-    acc = _horner(table, _horner(table, 0, x.data), t.data)
+    acc = field._horner(table, field._horner(table, 0, x.data), t.data)
     if include_length:
-        acc = field._times(acc ^ xcb_length_block(x.bitlen, t.bitlen).to_int(), table)
+        acc = field._horner(table, acc, xcb_length_block(x.bitlen, t.bitlen).data)
     return FieldElement(acc)
 
 
@@ -213,7 +205,8 @@ def hctr_hash(h: FieldElement, p: BitString) -> FieldElement:
     if p.bitlen == 0:
         return h
     table = field._key_table(h)
-    return FieldElement(field._times(_horner(table, 0, p.data) ^ p.bitlen, table))
+    acc = field._horner(table, 0, p.data)
+    return FieldElement(field._horner(table, acc, p.bitlen.to_bytes(16, "big")))
 
 
 def hctr_hash_fixed(h: FieldElement, p: BitString) -> FieldElement:
