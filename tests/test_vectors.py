@@ -13,7 +13,7 @@ import json
 import pytest
 from vectorgen import VECTORS, bits, shake, subkeys
 
-from wideblock import ctr, modes
+from wideblock import analysis, ctr, modes
 from wideblock.blockcipher import AesCipher
 from wideblock.polyhash import BitString
 
@@ -29,6 +29,7 @@ def _ids(vectors: list[dict], fmt: str) -> list[str]:
 MODE_VECTORS = _load("modes")
 KEY_VECTORS = _load("keys")
 CTR_VECTORS = _load("ctr")
+W32_VECTORS = _load("w32")
 
 
 @pytest.mark.parametrize(
@@ -69,3 +70,11 @@ def test_counter_vector(vector):
     assert out.data.hex() == vector["out"]
     # The counter layer is an involution for a fixed cipher and seed.
     assert counter(cipher, seed, out) == data
+
+
+@pytest.mark.parametrize("vector", W32_VECTORS, ids=_ids(W32_VECTORS, "rmax{rmax}"))
+def test_w32_vector(vector):
+    """Every |W_r| at width 32, not only their maximum, equals the table."""
+    sample = analysis.sample_w32(vector["rmax"])
+    assert sample.w_max_observed == vector["w_max_observed"]
+    assert [sample.w_cardinalities[r] for r in range(vector["rmax"] + 1)] == vector["w"]

@@ -1,8 +1,8 @@
 """Write the known-answer vectors in ``tests/vectors/`` that
 ``test_vectors.py`` replays.
 
-Every input comes from a SHAKE-256 label, so a run reproduces the same
-files from the same code.  Run it only for an intended change of output:
+Every input comes from a SHAKE-256 label (the width-32 |W_r| table needs
+none), so a run reproduces the same files from the same code.  Run it only for an intended change of output:
 
     PYTHONPATH=src python tests/vectorgen.py
 """
@@ -13,7 +13,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from wideblock import ctr, modes
+from wideblock import analysis, ctr, modes
 from wideblock.blockcipher import AesCipher
 from wideblock.polyhash import BitString
 
@@ -26,6 +26,9 @@ MASTER_BYTES = {"xcbv1": 16, "xcbv2": 16, "mxcbv1": 16, "mxcbv2": 16, "hctr": 32
 #: Payloads up to this many bits are stored in full; longer ones are stored
 #: as their SHAKE-256 label and pinned by the SHA-256 of the ciphertext.
 INLINE_BITS = 1024
+
+#: Largest r of the frozen width-32 |W_r| table.
+W32_RMAX = 1024
 
 
 def shake(label: str, nbytes: int) -> bytes:
@@ -115,7 +118,16 @@ def generate() -> dict[str, list[dict]]:
                     "out": out.data.hex(),
                 }
             )
-    return {"modes": mode_vectors, "keys": key_vectors, "ctr": ctr_vectors}
+    # |W_r| at the deployed 32-bit counter width for every r <= 1024.
+    wide = analysis.sample_w32(W32_RMAX)
+    w32_vectors = [
+        {
+            "rmax": W32_RMAX,
+            "w_max_observed": wide.w_max_observed,
+            "w": [wide.w_cardinalities[r] for r in range(W32_RMAX + 1)],
+        }
+    ]
+    return {"modes": mode_vectors, "keys": key_vectors, "ctr": ctr_vectors, "w32": w32_vectors}
 
 
 if __name__ == "__main__":
