@@ -9,7 +9,10 @@ offsets realizable by r-fold increments:
 The cardinality of W_r is what bounds the counter-collision term in the
 hash-counter-hash security proofs; exhaustive enumeration works up to
 width 16, and a carry-chain enumeration extends the computation to the
-deployed 32-bit width.
+deployed 32-bit width.  That enumeration follows carries only through the
+low L = bit_length(r_max) bits.  It is exact because every r <= r_max is
+zero above them: a carry out of bit L-1 runs on as ones that may stop at
+any bit, giving the same width - L high parts to every such low pattern.
 
 The second half evaluates the advantage-bound formulas of the compared
 enciphering schemes at concrete adversary resources, exactly (rational
@@ -49,37 +52,77 @@ def exhaustive_offsets(width: int, r: int) -> frozenset[int]:
     return frozenset((((y + r) & mask) ^ y) for y in range(1 << width))
 
 
-def carry_class_offsets(width: int, r: int) -> frozenset[int]:
-    """Y_r via carry chains, without touching the 2^width value space.
+def _carry_split(bits: int, r: int) -> tuple[set[int], set[int]]:
+    """Low ``bits``-bit offset patterns of adding r, split by carry-out.
 
     Adding the constant r to y makes the XOR offset ((y+r) xor y) equal to
     r xor c, where c is the carry word of the addition.  The carry word is
     constrained bit by bit: carry-in 0 at the bottom, and the next carry
     equals the current r bit whenever carry and r bit agree, while a
     disagreement lets y choose the next carry freely.  Enumerating that
-    branching process yields exactly the realizable carry words, and hence
-    Y_r, in time proportional to the set size.
+    branching process over bits 0..bits-1 yields the realizable low
+    patterns, in time proportional to their number; they are returned as
+    (A, B), those whose carry out of bit bits-1 is 0 and 1.  r < 2^bits.
     """
-    mask = (1 << width) - 1
-    r &= mask
-    out = set()
+    mask = (1 << bits) - 1
+    low: set[int] = set()
+    high: set[int] = set()
     stack = [(0, 0)]  # (bit position, carry word so far)
     while stack:
         pos, carry = stack.pop()
-        if pos == width:
-            out.add(r ^ carry)
+        if pos == bits:
+            (high if carry >> bits else low).add((r ^ carry) & mask)
             continue
         r_bit = (r >> pos) & 1
-        c_bit = (carry >> pos) & 1
         nxt = pos + 1
-        if c_bit == r_bit:
-            # forced carry; the final carry-out is discarded by the wrap
-            stack.append((nxt, carry | (r_bit << nxt) if nxt < width else carry))
+        if (carry >> pos) & 1 == r_bit:
+            stack.append((nxt, carry | (r_bit << nxt)))
         else:
             stack.append((nxt, carry))
-            if nxt < width:
-                stack.append((nxt, carry | (1 << nxt)))
-    return frozenset(out)
+            stack.append((nxt, carry | (1 << nxt)))
+    return low, high
+
+
+def carry_class_offsets(width: int, r: int) -> frozenset[int]:
+    """Y_r via carry chains, without touching the 2^width value space.
+
+    With L = bit_length(r), every bit of r at or above L is zero, so a
+    carry out of bit L-1 continues as a run of ones that y may stop at any
+    bit: Y_r is A joined with every b in B followed by 1..width-L ones
+    (A, B from ``_carry_split``).  At L = width the carry-out is discarded
+    by the wrap and Y_r = A | B.
+    """
+    r &= (1 << width) - 1
+    bits = r.bit_length()
+    low, high = _carry_split(bits, r)
+    if bits == width:
+        return frozenset(low | high)
+    runs = [((1 << k) - 1) << bits for k in range(1, width - bits + 1)]
+    return frozenset(low).union(b | run for b in high for run in runs)
+
+
+def _w_cardinalities(width: int, r_max: int) -> list[int]:
+    """|W_r| for r = 0..r_max, storing only L = bit_length(r_max) low bits.
+
+    Split as in ``carry_class_offsets``, with one L for every r:
+    |W_r| = |A_r - U A_{<r}| + (width - L) |B_r - U B_{<r}|.
+    """
+    bits = min(r_max.bit_length(), width)
+    runs = width - bits
+    seen_low: set[int] = set()
+    seen_high: set[int] = set()
+    counts = []
+    for r in range(r_max + 1):
+        low, high = _carry_split(bits, r & ((1 << bits) - 1))
+        if not runs:  # the wrap discards the carry-out: one class
+            low |= high
+            high = set()
+        low -= seen_low
+        high -= seen_high
+        counts.append(len(low) + runs * len(high))
+        seen_low |= low
+        seen_high |= high
+    return counts
 
 
 @dataclass(frozen=True)
@@ -137,32 +180,24 @@ def sample_w32(
 ) -> WideCounterSample:
     """W_r cardinalities at width 32 for r <= r_max via carry chains.
 
-    The running union over earlier Y_i makes the computation inherently
-    sequential in r, so every Y_r up to r_max is enumerated; ``samples``
-    (with ``seed``) limits which cardinalities are reported, not which are
-    computed.  The observed maximum is over all computed r.
+    Carries are followed through the low bit_length(r_max) bits only and
+    the runs of ones above them are counted (``_w_cardinalities``).  The
+    running union over earlier Y_i makes the computation sequential in r,
+    so every |W_r| up to r_max is computed; ``samples`` (with ``seed``)
+    limits which cardinalities are reported, not which are computed.  The
+    observed maximum is over all computed r.
     """
-    width = 32
     if samples is None or samples > r_max + 1:
         report_r = set(range(r_max + 1))
     else:
         rng = random.Random(seed)
         report_r = set(rng.sample(range(r_max + 1), samples))
-    seen: set[int] = set()
-    reported: dict[int, int] = {}
-    w_max = 0
-    for r in range(r_max + 1):
-        ys = carry_class_offsets(width, r)
-        w_r = len(ys - seen)
-        seen |= ys
-        w_max = max(w_max, w_r)
-        if r in report_r:
-            reported[r] = w_r
+    counts = _w_cardinalities(32, r_max)
     return WideCounterSample(
-        width=width,
+        width=32,
         r_max=r_max,
-        w_cardinalities=reported,
-        w_max_observed=w_max,
+        w_cardinalities={r: w for r, w in enumerate(counts) if r in report_r},
+        w_max_observed=max(counts),
     )
 
 
@@ -354,6 +389,11 @@ def table1_report(params: BoundParams = DEFAULT_PARAMS) -> BoundTable:
     return BoundTable(params=params, rows=rows, note=note)
 
 
+#: Largest k accepted in a 2^k term.  Bounds are evaluated exactly, so the
+#: term costs k bits and squaring it 2k.
+MAX_EXPONENT = 4096
+
+
 def parse_magnitude(text: str) -> int:
     """Parse CLI resource expressions: plain integers, 2^k, or 2^a+2^b."""
     total = 0
@@ -362,7 +402,10 @@ def parse_magnitude(text: str) -> int:
             base, _, exp = term.partition("^")
             if base != "2":
                 raise ValueError(f"only powers of two are supported: {term!r}")
-            total += 1 << int(exp)
+            k = int(exp)
+            if not 0 <= k <= MAX_EXPONENT:
+                raise ValueError(f"exponent of {term!r} is outside 0..{MAX_EXPONENT}")
+            total += 1 << k
         else:
             total += int(term)
     return total

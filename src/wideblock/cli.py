@@ -50,6 +50,21 @@ def _cmd_crypt(args: argparse.Namespace, encrypt: bool) -> int:
     return 0
 
 
+#: Longest plaintext, in blocks, that ``attack xcb-cycle`` draws.
+_MAX_CYCLE_BLOCKS = 1 << 16
+
+
+def _swap_pair(text: str) -> tuple[int, int]:
+    """The 1-based block indices i < j of ``--swap i,j``."""
+    try:
+        i, j = (int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"--swap takes two block indices i,j, got {text!r}") from None
+    if not 1 <= i < j:
+        raise ValueError(f"--swap needs block indices 1 <= i < j, got {i},{j}")
+    return i, j
+
+
 def _random_block(rng: random.Random) -> BitString:
     return BitString(rng.randbytes(16))
 
@@ -93,16 +108,20 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     if args.attack == "xcb-cycle":
         variant = modes.VARIANTS[args.mode]
         weak = element_of_order(args.order)
-        keys = modes.MODES[args.mode].derive(rng.randbytes(16))
-        weak_keys = {name: weak for name in ("h1", "h2", "h") if getattr(keys, name) is not None}
-        keys = modes.inject_subkeys(keys, **weak_keys)
         if args.swap:
-            i, j = (int(part) for part in args.swap.split(","))
+            i, j = _swap_pair(args.swap)
         else:
             # The first counter-covered block and the one args.order after it.
             span = variant.counter_span(args.order + 2)
             i, j = span[0], span[-1]
         nblocks = j + 1
+        if nblocks > _MAX_CYCLE_BLOCKS:
+            raise ValueError(
+                f"swapping block {j} needs a {nblocks}-block message; at most 2^16 blocks are drawn"
+            )
+        keys = modes.MODES[args.mode].derive(rng.randbytes(16))
+        weak_keys = {name: weak for name in ("h1", "h2", "h") if getattr(keys, name) is not None}
+        keys = modes.inject_subkeys(keys, **weak_keys)
         tweak = BitString(rng.randbytes(16))
         plaintext = BitString(rng.randbytes(16 * nblocks))
         ciphertext = modes.xcb_encrypt(variant, keys, tweak, plaintext)
@@ -186,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--order", type=int, default=3, help="weak-key order for xcb-cycle")
-    p.add_argument("--swap", default=None, help="i,j block indices for xcb-cycle")
+    p.add_argument("--swap", default=None, help="1-based block indices i,j for xcb-cycle")
     p.add_argument(
         "--mode",
         default="xcbv2",

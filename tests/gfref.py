@@ -10,7 +10,9 @@ These deliberately avoid the production code paths:
 * the hash oracles read blocks off the payload's integer value and evaluate
   explicit powers of the key instead of Horner's rule;
 * ``xor``, ``lsb`` and ``parse_n`` are the original per-byte and big-int
-  ``BitString`` code that the slicing and int-XOR paths replaced.
+  ``BitString`` code that the slicing and int-XOR paths replaced;
+* ``carry_class_offsets`` is the original full-depth carry-chain search
+  that the low/high split in ``wideblock.analysis`` replaced.
 """
 
 from wideblock import field
@@ -156,6 +158,30 @@ def parse_n(x: BitString) -> list[BitString]:
         remaining -= width
         blocks.append(BitString.from_int((v >> remaining) & ((1 << width) - 1), width))
     return blocks
+
+
+def carry_class_offsets(width: int, r: int) -> frozenset[int]:
+    """Y_r by following every carry chain through all ``width`` bits."""
+    mask = (1 << width) - 1
+    r &= mask
+    out = set()
+    stack = [(0, 0)]  # (bit position, carry word so far)
+    while stack:
+        pos, carry = stack.pop()
+        if pos == width:
+            out.add(r ^ carry)
+            continue
+        r_bit = (r >> pos) & 1
+        c_bit = (carry >> pos) & 1
+        nxt = pos + 1
+        if c_bit == r_bit:
+            # forced carry; the final carry-out is discarded by the wrap
+            stack.append((nxt, carry | (r_bit << nxt) if nxt < width else carry))
+        else:
+            stack.append((nxt, carry))
+            if nxt < width:
+                stack.append((nxt, carry | (1 << nxt)))
+    return frozenset(out)
 
 
 def check_field_laws(rng, cases: int) -> None:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import random
 import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wideblock import cli, field
 from wideblock.cli import main
@@ -161,6 +165,35 @@ def test_attack_cycle_explicit_swap(capsys):
     assert "forgery_valid yes" in out
 
 
+@pytest.mark.parametrize("swap", [
+    "1,100000000", "1,1000000", "1,65536", "0,3", "5,2", "4,4", "-1,3", "1", "1,2,3", "a,b", ",",
+])
+def test_attack_cycle_bad_swap_is_a_fast_data_error(capsys, swap):
+    """The pair is checked before any plaintext is drawn: indices 1 <= i < j
+    and a message (j + 1 blocks) of at most 2^16 blocks."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "attack", "xcb-cycle", "--order", "3", f"--swap={swap}")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_attack_cycle_large_order_is_a_fast_data_error(capsys):
+    """The default swap of a weak order of 2^64 - 1 spans 2^64 blocks."""
+    code, _, err = run(capsys, "attack", "xcb-cycle", "--order", str((1 << 64) - 1))
+    assert code == 1
+    assert err.startswith("error:") and "2^16 blocks" in err
+
+
+@pytest.mark.parametrize("option", ["--q", "--sigma"])
+@pytest.mark.parametrize("term", ["2^99999999999", "2^-1", "2^4097"])
+def test_bounds_exponent_out_of_range(capsys, option, term):
+    code, out, err = run(capsys, "bounds", option, term)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and term in err
+    assert err.count("\n") == 1
+
+
 def test_weakkey(capsys):
     h = field.element_of_order(17)
     code, out, _ = run(capsys, "weakkey", "--h", h.to_hex(), "--max-order", "100")
@@ -220,3 +253,79 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
     err = capsys.readouterr().err
     assert "must be at least" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# The CLI contract over generated argv: exit 0, 1 or 2, never a traceback,
+# and an exit-1 diagnostic is one "error:" line.
+
+def _ints(small, *large):
+    """Integers near zero, sometimes one of the large values."""
+    near = st.integers(min_value=-small, max_value=small)
+    return near | st.sampled_from(large) if large else near
+
+
+_text = st.text(alphabet="0123456789^+-,ab x", max_size=12)
+_huge = (99999999999, 10**30)
+_orders = st.sampled_from([3, 5, 15, 17, 51]) | _ints(20, 255, (1 << 64) - 1, 641 * 65537)
+
+
+@st.composite
+def _magnitudes(draw):
+    terms = draw(st.lists(
+        _ints(40, 4096, 4097, *_huge).map(lambda k: f"2^{k}") | _ints(5, 1 << 70).map(str),
+        min_size=1, max_size=3,
+    ))
+    return draw(st.sampled_from(["+".join(terms)] * 3 + [draw(_text)]))
+
+
+_attack = st.tuples(
+    st.just("attack"),
+    st.sampled_from(["hctr-distinguish", "hctr-recover", "hctr-keydep", "xcb-cycle"]),
+    st.builds("--trials={}".format, st.integers(min_value=-1, max_value=20)),
+    st.builds("--seed={}".format, _ints(1000, 1 << 80)),
+    st.builds("--order={}".format, _orders),
+    st.builds("--mode={}".format, st.sampled_from(["xcbv1", "xcbv2"])),
+).map(list) | st.builds(
+    lambda order, i, j: ["attack", "xcb-cycle", f"--order={order}", f"--swap={i},{j}"],
+    _orders, _ints(40, 100000000, *_huge), _ints(60, 100000000, *_huge),
+) | st.builds(lambda swap: ["attack", "xcb-cycle", f"--swap={swap}"], _text)
+
+_bounds = st.builds(
+    lambda q, sigma, ell, n: ["bounds", f"--q={q}", f"--sigma={sigma}", f"--len={ell}", f"--n={n}"],
+    _magnitudes(), _magnitudes(), st.integers(min_value=-1, max_value=300) | st.just(1 << 90), st.sampled_from([64, 128]) | _ints(1, 256),
+)
+
+_weakkey = st.builds(
+    lambda h, max_order: ["weakkey", f"--h={h}", f"--max-order={max_order}"],
+    st.binary(min_size=15, max_size=17).map(bytes.hex) | _text,
+    _ints(300, 1 << 20, 1 << 130),
+)
+
+_incsets = st.builds(
+    lambda width, rmax: ["incsets", f"--width={width}", f"--rmax={rmax}"],
+    st.sampled_from([-1, 0, 1, 2, 5, 8, 10, 17, 33, 64]), _ints(64),
+) | st.builds(
+    lambda rmax: ["incsets", "--width=32", f"--rmax={rmax}"],
+    st.integers(min_value=-2, max_value=1024),
+)
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_attack | _bounds | _weakkey | _incsets)
+def test_cli_contract(argv):
+    code, err = _run_captured(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1 and err:
+        assert err.startswith("error:") and err.count("\n") == 1

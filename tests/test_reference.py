@@ -3,7 +3,9 @@
 Field: the table kernel, generic ``mul``, ``square``, ``pow``, ``inv``,
 ``sqrt`` and ``order_divisor``.  Hashes: all three at lengths 0-600 bits,
 partial blocks included.  ``BitString``: XOR, ``lsb`` and ``parse_n`` at
-lengths 1-600.
+lengths 1-600.  Counter offsets: the split carry-chain ``Y_r`` against the
+full-depth search, and ``|W_r|`` against exhaustive enumeration at widths
+1-12.
 """
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfref
-from wideblock import field
+from wideblock import analysis, field
 from wideblock.field import FieldElement
 from wideblock.polyhash import BitString, hctr_hash, hctr_hash_fixed, parse_n, xcb_hash
 
@@ -150,3 +152,36 @@ def test_lsb(x, data):
 @given(bit_strings(min_bits=1))
 def test_parse_n(x):
     assert parse_n(x) == gfref.parse_n(x)
+
+
+# ---------------------------------------------------------------------------
+# Counter offsets
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_w_cardinalities_split_points(width):
+    """r_max = 2^(w-1) - 1 and 2^(w-1) sit on either side of a split-point
+    step; 2^w - 1 splits at L = width, where the wrap drops the carry-out."""
+    full = analysis.compute_inc_sets(width, (1 << width) - 1).w_cardinalities
+    for r_max in sorted({0, 1, (1 << (width - 1)) - 1, 1 << (width - 1), (1 << width) - 1}):
+        assert analysis._w_cardinalities(width, r_max) == list(full[: r_max + 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.data())
+def test_w_cardinalities(width, data):
+    r_max = data.draw(st.integers(min_value=0, max_value=(2 << width) + 3))
+    expect = analysis.compute_inc_sets(width, r_max).w_cardinalities
+    assert analysis._w_cardinalities(width, r_max) == list(expect)
+
+
+def test_carry_class_offsets_w32_small_r():
+    for r in range(600):
+        assert analysis.carry_class_offsets(32, r) == gfref.carry_class_offsets(32, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=32), st.data())
+def test_carry_class_offsets(width, data):
+    r = data.draw(st.integers(min_value=0, max_value=(4 << width) - 1))
+    assert analysis.carry_class_offsets(width, r) == gfref.carry_class_offsets(width, r)
