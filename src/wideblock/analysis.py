@@ -105,18 +105,20 @@ def _w_cardinalities(width: int, r_max: int) -> list[int]:
     """|W_r| for r = 0..r_max, storing only L = bit_length(r_max) low bits.
 
     Split as in ``carry_class_offsets``, with one L for every r:
-    |W_r| = |A_r - U A_{<r}| + (width - L) |B_r - U B_{<r}|.
+    |W_r| = |A_r - U A_{<r}| + (width - L) |B_r - U B_{<r}|.  This holds
+    at L = width too, where the factor is 0: the wrap drops the carry-out,
+    and each offset of B_r is also reached without one, at r itself when
+    r <= 2^(width-1) (y's top bit chose the carry-out) and otherwise at
+    2^width - r < r (Y_r = Y_{-r}).
     """
     bits = min(r_max.bit_length(), width)
+    mask = (1 << bits) - 1
     runs = width - bits
     seen_low: set[int] = set()
     seen_high: set[int] = set()
     counts = []
     for r in range(r_max + 1):
-        low, high = _carry_split(bits, r & ((1 << bits) - 1))
-        if not runs:  # the wrap discards the carry-out: one class
-            low |= high
-            high = set()
+        low, high = _carry_split(bits, r & mask)
         low -= seen_low
         high -= seen_high
         counts.append(len(low) + runs * len(high))

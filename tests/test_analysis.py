@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -191,17 +192,11 @@ def test_parse_magnitude():
     with pytest.raises(ValueError):
         parse_magnitude("3^5")
     assert parse_magnitude("2^4096+2^0") == 2**4096 + 1
-
-
-@pytest.mark.parametrize("term", ["2^-1", "2^4097", "2^99999999999"])
-def test_parse_magnitude_exponent_range(term):
-    """A negative exponent, or one whose power would not fit in memory,
-    is refused before any shift, naming the term."""
-    with pytest.raises(ValueError, match=r"\^"):
-        parse_magnitude(f"2^30+{term}")
-    with pytest.raises(ValueError) as exc:
-        parse_magnitude(term)
-    assert repr(term) in str(exc.value)
+    # A negative exponent, or one whose power would not fit in memory, is
+    # refused before any shift, naming the term.
+    for term in ("2^-1", "2^4097", "2^99999999999"):
+        with pytest.raises(ValueError, match=re.escape(repr(term))):
+            parse_magnitude(f"2^30+{term}")
 
 
 def test_table_renderings():
