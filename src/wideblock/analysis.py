@@ -7,9 +7,10 @@ offsets realizable by r-fold increments:
     W_0 = Y_0,   W_r = Y_r minus the union of all earlier Y_i
 
 The cardinality of W_r is what bounds the counter-collision term in the
-hash-counter-hash security proofs; exhaustive enumeration works up to
-width 16, and a carry-chain enumeration extends the computation to the
-deployed 32-bit width.  That enumeration follows carries only through the
+hash-counter-hash security proofs.  Exhaustive enumeration, which stores
+every Y_r, works up to width 16 and is the reference; a carry-chain
+enumeration gives the same counts at those widths and at the deployed
+32-bit width.  That enumeration follows carries only through the
 low L = bit_length(r_max) bits.  It is exact because every r <= r_max is
 zero above them: a carry out of bit L-1 runs on as ones that may stop at
 any bit, giving the same width - L high parts to every such low pattern.
@@ -142,12 +143,16 @@ class IncSetTable:
         return tuple(len(w) for w in self.w_sets)
 
 
-def compute_inc_sets(width: int, r_max: int) -> IncSetTable:
-    """Exact Y_r and W_r for all r <= r_max by exhaustive enumeration."""
+def _check_exhaustive_range(width: int, r_max: int) -> None:
     if width > 16:
         raise WidthTooLarge("exhaustive mode is limited to width <= 16")
     if width < 1 or r_max < 0:
         raise ValueError("width must be >= 1 and r_max >= 0")
+
+
+def compute_inc_sets(width: int, r_max: int) -> IncSetTable:
+    """Exact Y_r and W_r for all r <= r_max by exhaustive enumeration."""
+    _check_exhaustive_range(width, r_max)
     y_sets = []
     w_sets = []
     seen: set[int] = set()
@@ -163,6 +168,14 @@ def compute_inc_sets(width: int, r_max: int) -> IncSetTable:
         w_sets=tuple(w_sets),
         w_max=max(len(w) for w in w_sets),
     )
+
+
+def inc_set_counts(width: int, r_max: int) -> list[int]:
+    """|W_r| for r = 0..r_max over the widths ``compute_inc_sets`` takes,
+    with the same counts and errors, by carry chains: only the low
+    bit_length(r_max)-bit patterns are stored, not every Y_r."""
+    _check_exhaustive_range(width, r_max)
+    return _w_cardinalities(width, r_max)
 
 
 @dataclass(frozen=True)
@@ -400,14 +413,17 @@ def parse_magnitude(text: str) -> int:
     """Parse CLI resource expressions: plain integers, 2^k, or 2^a+2^b."""
     total = 0
     for term in text.replace(" ", "").split("+"):
-        if "^" in term:
-            base, _, exp = term.partition("^")
-            if base != "2":
-                raise ValueError(f"only powers of two are supported: {term!r}")
-            k = int(exp)
-            if not 0 <= k <= MAX_EXPONENT:
-                raise ValueError(f"exponent of {term!r} is outside 0..{MAX_EXPONENT}")
-            total += 1 << k
+        base, power, digits = term.partition("^")
+        if power and base != "2":
+            raise ValueError(f"only powers of two are supported: {term!r}")
+        try:
+            value = int(digits if power else term)
+        except ValueError:
+            raise ValueError(f"malformed term {term!r} in {text!r}") from None
+        if not power:
+            total += value
+        elif 0 <= value <= MAX_EXPONENT:
+            total += 1 << value
         else:
-            total += int(term)
+            raise ValueError(f"exponent of {term!r} is outside 0..{MAX_EXPONENT}")
     return total

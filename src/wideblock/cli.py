@@ -168,10 +168,10 @@ def _cmd_incsets(args: argparse.Namespace) -> int:
         for r in sorted(sample.w_cardinalities):
             print(f"w[{r}] {sample.w_cardinalities[r]}")
         return 0
-    table = analysis.compute_inc_sets(args.width, args.rmax)
-    print(f"width {table.width} rmax {table.r_max}")
-    print(f"w_max {table.w_max}")
-    for r, w in enumerate(table.w_cardinalities):
+    counts = analysis.inc_set_counts(args.width, args.rmax)
+    print(f"width {args.width} rmax {args.rmax}")
+    print(f"w_max {max(counts)}")
+    for r, w in enumerate(counts):
         print(f"w[{r}] {w}")
     return 0
 
@@ -232,7 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        # Given "--name=--", argparse (CPython 3.11 among others) drops the
+        # "--" and stores an empty list, unconverted and unchecked.
+        if value == []:
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     handlers = {
         "encrypt": lambda a: _cmd_crypt(a, encrypt=True),
         "decrypt": lambda a: _cmd_crypt(a, encrypt=False),

@@ -10,10 +10,12 @@ being used as a coefficient.
 
 Coefficients are read straight from the bytes of a ``BitString``: its bits
 are left-aligned with a zero tail, so a partial last block padded with zero
-bytes is already the zero-padded block.  Horner's rule then runs on plain
-ints with the hash key's table (``field._key_table``, ``field._horner``),
-whose lookups are key-dependent memory accesses: the hash is not constant
-time.
+bytes is already the zero-padded block.  ``field._hash`` then runs Horner's
+rule on plain ints with one of the hash key's tables: the 4-bit table for
+inputs below ``field.BYTE_TABLE_BLOCKS`` blocks (2 KiB) in total, the 8-bit
+table from there on, whose larger build pays off only over long inputs.
+Lookups in either table are key-dependent memory accesses: the hash is not
+constant time.
 """
 
 from __future__ import annotations
@@ -192,11 +194,8 @@ def xcb_hash(
     assemble an explicit one inside t (the second hash of two-argument XCB
     variants with a single hash key does this).
     """
-    table = field._key_table(h)
-    acc = field._horner(table, field._horner(table, 0, x.data), t.data)
-    if include_length:
-        acc = field._horner(table, acc, xcb_length_block(x.bitlen, t.bitlen).data)
-    return FieldElement(acc)
+    length = xcb_length_block(x.bitlen, t.bitlen).data if include_length else b""
+    return FieldElement(field._hash(h, x.data, t.data, length))
 
 
 def hctr_hash(h: FieldElement, p: BitString) -> FieldElement:
@@ -204,9 +203,7 @@ def hctr_hash(h: FieldElement, p: BitString) -> FieldElement:
     blocks at powers m+1..2 with the bit length at power one."""
     if p.bitlen == 0:
         return h
-    table = field._key_table(h)
-    acc = field._horner(table, 0, p.data)
-    return FieldElement(field._horner(table, acc, p.bitlen.to_bytes(16, "big")))
+    return FieldElement(field._hash(h, p.data, p.bitlen.to_bytes(16, "big")))
 
 
 def hctr_hash_fixed(h: FieldElement, p: BitString) -> FieldElement:

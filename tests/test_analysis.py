@@ -197,6 +197,10 @@ def test_parse_magnitude():
     for term in ("2^-1", "2^4097", "2^99999999999"):
         with pytest.raises(ValueError, match=re.escape(repr(term))):
             parse_magnitude(f"2^30+{term}")
+    # A malformed term is named together with the whole expression.
+    for text, term in (("2^", "2^"), ("2^30+", ""), ("", ""), ("2^x+1", "2^x"), ("1+2^30+k", "k")):
+        with pytest.raises(ValueError, match=re.escape(f"{term!r} in {text!r}")):
+            parse_magnitude(text)
 
 
 def test_table_renderings():

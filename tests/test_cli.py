@@ -1,14 +1,16 @@
 import contextlib
 import io
 import random
+import tempfile
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wideblock import cli, field
+from wideblock import analysis, cli, field, modes
 from wideblock.cli import main
 
 rng = random.Random(0xC11)
@@ -182,11 +184,12 @@ def test_attack_cycle_bad_swap_is_a_fast_data_error(capsys, argv):
 
 
 @pytest.mark.parametrize("option", ["--q", "--sigma"])
-@pytest.mark.parametrize("term", ["2^99999999999", "2^-1", "2^4097"])
+@pytest.mark.parametrize("term", ["2^99999999999", "2^-1", "2^4097", "2^", "2^30+", ""])
 def test_bounds_exponent_out_of_range(capsys, option, term):
     code, out, err = run(capsys, "bounds", option, term)
     assert code == 1 and out == ""
-    assert err.startswith("error:") and term in err
+    assert err.startswith("error:") and repr(term) in err
+    assert "int()" not in err
     assert err.count("\n") == 1
 
 
@@ -206,6 +209,16 @@ def test_incsets(capsys):
     assert code == 0
     assert "w_max 8" in out
     assert "w[0] 1" in out
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_incsets_lines_match_the_exhaustive_sets(capsys, width):
+    for rmax in (0, (1 << width) - 1, (2 << width) + 3):
+        table = analysis.compute_inc_sets(width, rmax)
+        expect = [f"width {width} rmax {rmax}", f"w_max {table.w_max}"]
+        expect += [f"w[{r}] {w}" for r, w in enumerate(table.w_cardinalities)]
+        code, out, _ = run(capsys, "incsets", "--width", str(width), "--rmax", str(rmax))
+        assert code == 0 and out.splitlines() == expect
 
 
 def test_incsets_width32(capsys):
@@ -249,6 +262,20 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
     err = capsys.readouterr().err
     assert "must be at least" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--q=--"),
+    ("attack", "hctr-distinguish", "--trials=--"),
+    ("weakkey", "--h=--"),
+    ("encrypt", "--mode=xcbv1", "--key=--", "--in=a", "--out=b"),
+])
+def test_double_dash_as_a_value_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected one argument" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +337,33 @@ _incsets = st.builds(
 )
 
 
+def _mostly(good, bad):
+    """Draws from ``good`` three times in four, else from ``bad``."""
+    return st.sampled_from([good] * 3 + [bad]).flatmap(lambda strategy: strategy)
+
+
+# Input and output paths are placeholders under "{dir}", a fresh temporary
+# directory per example holding the drawn input as "in": a missing input, an
+# output that is a directory, and the good case.  Keys, tweaks and paths are
+# mostly well formed, so that the drawn payload and flag decide the outcome.
+@st.composite
+def _crypt(draw):
+    mode = draw(st.sampled_from(sorted(modes.MODES)))
+    good_key = "5a" * (32 if mode.startswith("hctr") else 16)
+    key = draw(_mostly(st.just(good_key), st.binary(max_size=33).map(bytes.hex) | _text))
+    tweak = draw(_mostly(st.binary(max_size=40).map(bytes.hex), _text))
+    source = draw(_mostly(st.just("{dir}/in"), st.just("{dir}/missing")))
+    target = draw(_mostly(st.just("{dir}/out"), st.just("{dir}")))
+    partial = ["--allow-insecure-partial"] if draw(st.booleans()) else []
+    return [
+        draw(st.sampled_from(["encrypt", "decrypt"])), f"--mode={mode}", f"--key={key}",
+        f"--tweak={tweak}", f"--in={source}", f"--out={target}", *partial,
+    ]
+
+
+_payloads = st.integers(min_value=0, max_value=40).flatmap(lambda n: st.binary(min_size=n, max_size=n))
+
+
 def _run_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -320,10 +374,12 @@ def _run_captured(argv):
     return code, err.getvalue()
 
 
-@settings(max_examples=150, deadline=None)
-@given(_attack | _bounds | _weakkey | _incsets)
-def test_cli_contract(argv):
-    code, err = _run_captured(argv)
+@settings(max_examples=200, deadline=None)
+@given(_attack | _bounds | _weakkey | _incsets | _crypt(), _payloads)
+def test_cli_contract(argv, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "in").write_bytes(payload)
+        code, err = _run_captured([arg.replace("{dir}", tmp) for arg in argv])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 1 and err:

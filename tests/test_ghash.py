@@ -63,15 +63,28 @@ def test_mul_horner_chain_matches_ghash(case):
     assert rev(acc.value) == ghash
 
 
-@pytest.mark.parametrize("case", range(50))
-def test_xcb_hash_on_full_blocks_matches_ghash(case):
+def check_xcb_hash(aad_blocks: int, plaintext_blocks: int) -> None:
     """GHASH is xcb_hash over (A, C || length block) with the hash's own
     length term suppressed, every block bit-reversed."""
     key = rng.randbytes(16)
-    aad = rng.randbytes(16 * rng.randrange(6))
-    plaintext = rng.randbytes(16 * rng.randrange(6))
+    aad = rng.randbytes(16 * aad_blocks)
+    plaintext = rng.randbytes(16 * plaintext_blocks)
     h, ciphertext, ghash = openssl_ghash(key, aad, plaintext)
     h_field = FieldElement(rev(int.from_bytes(h, "big")))
     x = BitString(rev_blocks(aad))
     t = BitString(rev_blocks(ciphertext + length_block(aad, ciphertext)))
     assert rev(xcb_hash(h_field, x, t, include_length=False).value) == ghash
+
+
+@pytest.mark.parametrize("case", range(50))
+def test_xcb_hash_on_full_blocks_matches_ghash(case):
+    check_xcb_hash(rng.randrange(6), rng.randrange(6))
+
+
+@pytest.mark.parametrize("aad_blocks,plaintext_blocks", [
+    (126, 0), (0, 127), (64, 64), (127, 1), (200, 312),
+])
+def test_xcb_hash_on_2k_and_more_matches_ghash(aad_blocks, plaintext_blocks):
+    """127 to 513 hashed blocks with GCM's length block: either side of
+    the 8-bit table threshold."""
+    check_xcb_hash(aad_blocks, plaintext_blocks)

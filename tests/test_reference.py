@@ -1,12 +1,15 @@
 """Every fast path against the slow reference it replaced (``gfref``).
 
-Field: the table kernel, generic ``mul``, ``square``, ``pow``, ``inv``,
-``sqrt`` and ``order_divisor``.  Hashes: all three at lengths 0-600 bits,
-partial blocks included.  ``BitString``: XOR, ``lsb`` and ``parse_n`` at
-lengths 1-600.  Counter offsets: the split carry-chain ``Y_r`` against the
-full-depth search, and ``|W_r|`` against exhaustive enumeration at widths
-1-12.
+Field: the 4-bit and 8-bit table kernels, generic ``mul``, ``square``,
+``pow``, ``inv``, ``sqrt`` and ``order_divisor``.  Hashes: all three at
+lengths 0-600 bits, at 127, 128 and 129 hashed blocks (either side of the
+8-bit table threshold) and at 2-8 KiB, partial blocks included.
+``BitString``: XOR, ``lsb`` and ``parse_n`` at lengths 1-600.  Counter
+offsets: the split carry-chain ``Y_r`` against the full-depth search, and
+``|W_r|`` against exhaustive enumeration at widths 1-12.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,16 @@ def bit_strings(draw, min_bits=0, max_bits=600):
     return BitString.from_int(draw(st.integers(min_value=0, max_value=(1 << nbits) - 1)), nbits)
 
 
+def random_bits(seed: int, nbits: int) -> BitString:
+    return BitString.from_int(random.Random(seed).getrandbits(nbits), nbits)
+
+
+#: 2-8 KiB bit strings, all hashed with the 8-bit table.
+long_bit_strings = st.builds(
+    random_bits, st.integers(min_value=0), st.integers(min_value=8 * 2048, max_value=8 * 8192)
+)
+
+
 # ---------------------------------------------------------------------------
 # Field
 
@@ -37,6 +50,14 @@ def test_table_kernel(a, h):
     expect = gfref.mul(a, h)
     assert expect == gfref.mul_oracle(a, h)
     assert field._times(a.value, field._key_table(h)) == expect.value
+
+
+@settings(max_examples=30, deadline=None)
+@given(elements, elements, st.integers(min_value=0, max_value=160), st.integers(min_value=0))
+def test_byte_table_kernel(h, acc, blocks, seed):
+    data = random.Random(seed).randbytes(16 * blocks)
+    expect = field._horner(field._key_table(h), acc.value, data)
+    assert field._horner_bytes(field._key_byte_table(h), acc.value, data) == expect
 
 
 @settings(max_examples=200, deadline=None)
@@ -91,13 +112,16 @@ def test_cached_table_leaves_the_element_unchanged():
     h = FieldElement(0x0123456789ABCDEF0123456789ABCDEF)
     twin = FieldElement(h.value)
     table = field._key_table(h)
+    byte_table = field._key_byte_table(h)
     assert field._key_table(h) is table
+    assert field._key_byte_table(h) is byte_table
     assert h == twin and hash(h) == hash(twin) and {h: 1}[twin] == 1
     assert h.value == twin.value and repr(h) == repr(twin)
-    for name in ("value", "_mul_table"):
+    for name in ("value", "_mul_table", "_byte_table"):
         with pytest.raises(AttributeError):
             setattr(h, name, 0)
     assert field._key_table(h) is table
+    assert field._key_byte_table(h) is byte_table
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +143,46 @@ def test_hctr_hash(h, p):
 @settings(max_examples=60, deadline=None)
 @given(elements, bit_strings())
 def test_hctr_hash_fixed(h, p):
+    appended = BitString.from_int(p.to_int() << 1 | 1, p.bitlen + 1)
+    assert hctr_hash_fixed(h, p) == gfref.hctr_hash_oracle(h, appended)
+
+
+@pytest.mark.parametrize("blocks", [127, 128, 129])
+@pytest.mark.parametrize("tail_bits", [0, 37])
+def test_hashes_at_the_byte_table_threshold(blocks, tail_bits):
+    """Inputs hashed as exactly ``blocks`` blocks, length block included,
+    the last payload block full or holding ``tail_bits`` bits."""
+    h = FieldElement(random.Random(blocks).getrandbits(128))
+    p = random_bits(tail_bits, 128 * (blocks - 2) + (tail_bits or 128))
+    assert hctr_hash(h, p) == gfref.hctr_hash_oracle(h, p)
+    t = random_bits(1, 128)
+    x = random_bits(2, p.bitlen - 128)
+    assert xcb_hash(h, x, t) == gfref.xcb_hash_oracle(h, x, t)
+    assert xcb_hash(h, x, p, False) == gfref.xcb_hash_oracle(h, x, p, False)
+
+
+def test_byte_table_is_built_from_the_threshold_on():
+    """A 127-block hash call, longer than any attack demo makes, builds no
+    8-bit table; a 128-block call builds it."""
+    short_key, long_key = FieldElement(3), FieldElement(5)
+    payload = BitString(bytes(16 * (field.BYTE_TABLE_BLOCKS - 2)))
+    xcb_hash(short_key, payload, BitString.empty())
+    hctr_hash(short_key, payload)
+    assert hasattr(short_key, "_mul_table") and not hasattr(short_key, "_byte_table")
+    hctr_hash(long_key, payload + payload.msb(128))
+    assert hasattr(long_key, "_byte_table")
+
+
+@settings(max_examples=8, deadline=None)
+@given(elements, long_bit_strings, bit_strings(), st.booleans())
+def test_xcb_hash_long(h, x, t, include_length):
+    assert xcb_hash(h, x, t, include_length) == gfref.xcb_hash_oracle(h, x, t, include_length)
+
+
+@settings(max_examples=8, deadline=None)
+@given(elements, long_bit_strings)
+def test_hctr_hashes_long(h, p):
+    assert hctr_hash(h, p) == gfref.hctr_hash_oracle(h, p)
     appended = BitString.from_int(p.to_int() << 1 | 1, p.bitlen + 1)
     assert hctr_hash_fixed(h, p) == gfref.hctr_hash_oracle(h, appended)
 
