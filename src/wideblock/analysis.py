@@ -7,13 +7,22 @@ offsets realizable by r-fold increments:
     W_0 = Y_0,   W_r = Y_r minus the union of all earlier Y_i
 
 The cardinality of W_r is what bounds the counter-collision term in the
-hash-counter-hash security proofs.  Exhaustive enumeration, which stores
-every Y_r, works up to width 16 and is the reference; a carry-chain
-enumeration gives the same counts at those widths and at the deployed
-32-bit width.  That enumeration follows carries only through the
-low L = bit_length(r_max) bits.  It is exact because every r <= r_max is
-zero above them: a carry out of bit L-1 runs on as ones that may stop at
-any bit, giving the same width - L high parts to every such low pattern.
+hash-counter-hash security proofs.  W_r has a closed form:
+
+    W_0 = {0},   W_r = { 2^(k+1) - r : 0 <= k < w, 2^k >= r }  for r >= 1
+
+so |W_r| = w - bit_length(r - 1) for 1 <= r <= 2^(w-1), 0 above that, and
+the maximum over all r is w, at r = 1.  Proof: (y + r) xor y = d says that
+adding r flips exactly the bits of d, each bit i from y_i to 1 - y_i, which
+adds (1 - 2 y_i) 2^i.  So d is in Y_r exactly when
+r = sum over i in d of +-2^i (mod 2^w), and y sets every sign pattern.
+For d != 0 with top bit k, the top term outweighs the others together, so
+the sum has the top term's sign: with + it lies in 0 < s < 2^(k+1) and is
+least as 2^(k+1) - d, all lower terms negative; with - it is at least
+2^w - d as a residue.  Hence the least r with d in Y_r is 2^(k+1) - d,
+i.e. d is in W_r exactly when d = 2^(k+1) - r has top bit k, which is
+1 <= r <= 2^k.  Exhaustive enumeration (``compute_inc_sets``, width <= 16)
+is the reference.
 
 The second half evaluates the advantage-bound formulas of the compared
 enciphering schemes at concrete adversary resources, exactly (rational
@@ -53,79 +62,17 @@ def exhaustive_offsets(width: int, r: int) -> frozenset[int]:
     return frozenset((((y + r) & mask) ^ y) for y in range(1 << width))
 
 
-def _carry_split(bits: int, r: int) -> tuple[set[int], set[int]]:
-    """Low ``bits``-bit offset patterns of adding r, split by carry-out.
-
-    Adding the constant r to y makes the XOR offset ((y+r) xor y) equal to
-    r xor c, where c is the carry word of the addition.  The carry word is
-    constrained bit by bit: carry-in 0 at the bottom, and the next carry
-    equals the current r bit whenever carry and r bit agree, while a
-    disagreement lets y choose the next carry freely.  Enumerating that
-    branching process over bits 0..bits-1 yields the realizable low
-    patterns, in time proportional to their number; they are returned as
-    (A, B), those whose carry out of bit bits-1 is 0 and 1.  r < 2^bits.
-    """
-    mask = (1 << bits) - 1
-    low: set[int] = set()
-    high: set[int] = set()
-    stack = [(0, 0)]  # (bit position, carry word so far)
-    while stack:
-        pos, carry = stack.pop()
-        if pos == bits:
-            (high if carry >> bits else low).add((r ^ carry) & mask)
-            continue
-        r_bit = (r >> pos) & 1
-        nxt = pos + 1
-        if (carry >> pos) & 1 == r_bit:
-            stack.append((nxt, carry | (r_bit << nxt)))
-        else:
-            stack.append((nxt, carry))
-            stack.append((nxt, carry | (1 << nxt)))
-    return low, high
+def _check_range(width: int, r_max: int) -> None:
+    if width < 1 or r_max < 0:
+        raise ValueError("width must be >= 1 and r_max >= 0")
 
 
-def carry_class_offsets(width: int, r: int) -> frozenset[int]:
-    """Y_r via carry chains, without touching the 2^width value space.
-
-    With L = bit_length(r), every bit of r at or above L is zero, so a
-    carry out of bit L-1 continues as a run of ones that y may stop at any
-    bit: Y_r is A joined with every b in B followed by 1..width-L ones
-    (A, B from ``_carry_split``).  At L = width the carry-out is discarded
-    by the wrap and Y_r = A | B.
-    """
-    r &= (1 << width) - 1
-    bits = r.bit_length()
-    low, high = _carry_split(bits, r)
-    if bits == width:
-        return frozenset(low | high)
-    runs = [((1 << k) - 1) << bits for k in range(1, width - bits + 1)]
-    return frozenset(low).union(b | run for b in high for run in runs)
-
-
-def _w_cardinalities(width: int, r_max: int) -> list[int]:
-    """|W_r| for r = 0..r_max, storing only L = bit_length(r_max) low bits.
-
-    Split as in ``carry_class_offsets``, with one L for every r:
-    |W_r| = |A_r - U A_{<r}| + (width - L) |B_r - U B_{<r}|.  This holds
-    at L = width too, where the factor is 0: the wrap drops the carry-out,
-    and each offset of B_r is also reached without one, at r itself when
-    r <= 2^(width-1) (y's top bit chose the carry-out) and otherwise at
-    2^width - r < r (Y_r = Y_{-r}).
-    """
-    bits = min(r_max.bit_length(), width)
-    mask = (1 << bits) - 1
-    runs = width - bits
-    seen_low: set[int] = set()
-    seen_high: set[int] = set()
-    counts = []
-    for r in range(r_max + 1):
-        low, high = _carry_split(bits, r & mask)
-        low -= seen_low
-        high -= seen_high
-        counts.append(len(low) + runs * len(high))
-        seen_low |= low
-        seen_high |= high
-    return counts
+def w_set(width: int, r: int) -> frozenset[int]:
+    """W_r at any width from the closed form in the module docstring."""
+    _check_range(width, r)
+    if r == 0:
+        return frozenset({0})
+    return frozenset((2 << k) - r for k in range((r - 1).bit_length(), width))
 
 
 @dataclass(frozen=True)
@@ -143,16 +90,11 @@ class IncSetTable:
         return tuple(len(w) for w in self.w_sets)
 
 
-def _check_exhaustive_range(width: int, r_max: int) -> None:
-    if width > 16:
-        raise WidthTooLarge("exhaustive mode is limited to width <= 16")
-    if width < 1 or r_max < 0:
-        raise ValueError("width must be >= 1 and r_max >= 0")
-
-
 def compute_inc_sets(width: int, r_max: int) -> IncSetTable:
     """Exact Y_r and W_r for all r <= r_max by exhaustive enumeration."""
-    _check_exhaustive_range(width, r_max)
+    if width > 16:
+        raise WidthTooLarge("exhaustive mode is limited to width <= 16")
+    _check_range(width, r_max)
     y_sets = []
     w_sets = []
     seen: set[int] = set()
@@ -171,16 +113,14 @@ def compute_inc_sets(width: int, r_max: int) -> IncSetTable:
 
 
 def inc_set_counts(width: int, r_max: int) -> list[int]:
-    """|W_r| for r = 0..r_max over the widths ``compute_inc_sets`` takes,
-    with the same counts and errors, by carry chains: only the low
-    bit_length(r_max)-bit patterns are stored, not every Y_r."""
-    _check_exhaustive_range(width, r_max)
-    return _w_cardinalities(width, r_max)
+    """|W_r| for r = 0..r_max at any width, from the closed form."""
+    _check_range(width, r_max)
+    return [max(width - (r - 1).bit_length(), 0) if r else 1 for r in range(r_max + 1)]
 
 
 @dataclass(frozen=True)
 class WideCounterSample:
-    """Carry-chain W_r cardinalities at the full 32-bit counter width."""
+    """W_r cardinalities at the full 32-bit counter width."""
 
     width: int
     r_max: int
@@ -193,21 +133,18 @@ def sample_w32(
     samples: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> WideCounterSample:
-    """W_r cardinalities at width 32 for r <= r_max via carry chains.
+    """W_r cardinalities at width 32 for r <= r_max.
 
-    Carries are followed through the low bit_length(r_max) bits only and
-    the runs of ones above them are counted (``_w_cardinalities``).  The
-    running union over earlier Y_i makes the computation sequential in r,
-    so every |W_r| up to r_max is computed; ``samples`` (with ``seed``)
-    limits which cardinalities are reported, not which are computed.  The
-    observed maximum is over all computed r.
+    Every |W_r| up to r_max is computed (``inc_set_counts``); ``samples``
+    (with ``seed``) limits which cardinalities are reported, not which are
+    computed.  The observed maximum is over all computed r.
     """
     if samples is None or samples > r_max + 1:
         report_r = set(range(r_max + 1))
     else:
         rng = random.Random(seed)
         report_r = set(rng.sample(range(r_max + 1), samples))
-    counts = _w_cardinalities(32, r_max)
+    counts = inc_set_counts(32, r_max)
     return WideCounterSample(
         width=32,
         r_max=r_max,

@@ -22,16 +22,23 @@ from .field import FieldElement, element_of_order
 from .polyhash import BitString
 
 
-def _int_at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``."""
+def _int_at_least(minimum: int, maximum: int | None = None):
+    """An argparse type: an integer no smaller than ``minimum`` and, if
+    ``maximum`` is given, no larger than it."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return count
+
+
+#: Largest ``incsets --rmax``: one output line per r, 2^20 lines at most.
+_MAX_INCSETS_RMAX = 1 << 20
 
 
 def _cmd_crypt(args: argparse.Namespace, encrypt: bool) -> int:
@@ -161,18 +168,10 @@ def _cmd_weakkey(args: argparse.Namespace) -> int:
 
 
 def _cmd_incsets(args: argparse.Namespace) -> int:
-    if args.width == 32:
-        sample = analysis.sample_w32(args.rmax)
-        print(f"width 32 rmax {args.rmax}")
-        print(f"w_max_observed {sample.w_max_observed}")
-        for r in sorted(sample.w_cardinalities):
-            print(f"w[{r}] {sample.w_cardinalities[r]}")
-        return 0
     counts = analysis.inc_set_counts(args.width, args.rmax)
     print(f"width {args.width} rmax {args.rmax}")
     print(f"w_max {max(counts)}")
-    for r, w in enumerate(counts):
-        print(f"w[{r}] {w}")
+    sys.stdout.writelines(f"w[{r}] {w}\n" for r, w in enumerate(counts))
     return 0
 
 
@@ -225,8 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=_int_at_least(0), default=1 << 20)
 
     p = sub.add_parser("incsets", help="counter-offset set analysis")
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--rmax", type=_int_at_least(0), default=255)
+    p.add_argument("--width", type=_int_at_least(1, 128), default=8, help="counter bits, 1..128")
+    p.add_argument(
+        "--rmax", type=_int_at_least(0, _MAX_INCSETS_RMAX), default=255, help="largest r, 0..2^20"
+    )
 
     return parser
 

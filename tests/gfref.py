@@ -12,7 +12,7 @@ These deliberately avoid the production code paths:
 * ``xor``, ``lsb`` and ``parse_n`` are the original per-byte and big-int
   ``BitString`` code that the slicing and int-XOR paths replaced;
 * ``carry_class_offsets`` is the original full-depth carry-chain search
-  that the low/high split in ``wideblock.analysis`` replaced.
+  for Y_r that the closed form of W_r in ``wideblock.analysis`` replaced.
 """
 
 from wideblock import field

@@ -9,13 +9,13 @@ from wideblock.analysis import (
     BoundParams,
     UnknownScheme,
     WidthTooLarge,
-    carry_class_offsets,
     compute_inc_sets,
     eval_bound,
-    exhaustive_offsets,
+    inc_set_counts,
     parse_magnitude,
     sample_w32,
     table1_report,
+    w_set,
 )
 
 # Frozen by the exhaustive pre-build oracle: the largest number of new XOR
@@ -62,14 +62,12 @@ def test_no_offset_shared_by_two_increment_counts_at_one_point():
         assert len(offsets) == 256
 
 
-def test_carry_class_matches_exhaustive_width12():
-    for r in range(256):
-        assert carry_class_offsets(12, r) == exhaustive_offsets(12, r)
-
-
-def test_carry_class_matches_exhaustive_width8_all_r():
-    for r in range(256):
-        assert carry_class_offsets(8, r) == exhaustive_offsets(8, r)
+def test_w_set_and_counts_reject_bad_ranges():
+    for width, r in ((0, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            w_set(width, r)
+        with pytest.raises(ValueError):
+            inc_set_counts(width, r)
 
 
 def test_width_too_large():

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import random
 import tempfile
 import time
@@ -222,9 +223,12 @@ def test_incsets_lines_match_the_exhaustive_sets(capsys, width):
 
 
 def test_incsets_width32(capsys):
-    code, out, _ = run(capsys, "incsets", "--width", "32", "--rmax", "16")
+    frozen = json.loads((Path(__file__).parent / "vectors" / "w32.json").read_text())[0]
+    code, out, _ = run(capsys, "incsets", "--width", "32", "--rmax", str(frozen["rmax"]))
     assert code == 0
-    assert "w_max_observed" in out
+    expect = [f"width 32 rmax {frozen['rmax']}", f"w_max {frozen['w_max_observed']}"]
+    expect += [f"w[{r}] {w}" for r, w in enumerate(frozen["w"])]
+    assert out.splitlines() == expect
 
 
 def test_determinism(capsys):
@@ -262,6 +266,19 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
     err = capsys.readouterr().err
     assert "must be at least" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--width", "0"), "must be at least 1"),
+    (("--width", "129"), "must be at most 128"),
+    (("--width", "32", "--rmax", str((1 << 20) + 1)), "must be at most 1048576"),
+])
+def test_incsets_ranges_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["incsets", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -330,10 +347,10 @@ _weakkey = st.builds(
 
 _incsets = st.builds(
     lambda width, rmax: ["incsets", f"--width={width}", f"--rmax={rmax}"],
-    st.sampled_from([-1, 0, 1, 2, 5, 8, 10, 17, 33, 64]), _ints(64),
+    st.sampled_from([-1, 0, 1, 2, 5, 8, 10, 17, 33, 64, 128, 129]), _ints(64, (1 << 20) + 1),
 ) | st.builds(
     lambda rmax: ["incsets", "--width=32", f"--rmax={rmax}"],
-    st.integers(min_value=-2, max_value=1024),
+    st.integers(min_value=-2, max_value=1024) | st.just((1 << 20) + 1),
 )
 
 

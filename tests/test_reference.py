@@ -5,8 +5,9 @@ Field: the 4-bit and 8-bit table kernels, generic ``mul``, ``square``,
 lengths 0-600 bits, at 127, 128 and 129 hashed blocks (either side of the
 8-bit table threshold) and at 2-8 KiB, partial blocks included.
 ``BitString``: XOR, ``lsb`` and ``parse_n`` at lengths 1-600.  Counter
-offsets: the split carry-chain ``Y_r`` against the full-depth search, and
-``|W_r|`` against exhaustive enumeration at widths 1-12.
+offsets: the closed-form ``W_r`` sets and counts against exhaustive
+enumeration at widths 1-12 and against the full-depth carry-chain search up
+to width 64, and that search against brute force.
 """
 
 import random
@@ -224,11 +225,14 @@ def test_parse_n(x):
 
 @pytest.mark.parametrize("width", range(1, 13))
 def test_w_cardinalities_split_points(width):
-    """r_max = 2^(w-1) - 1 and 2^(w-1) sit on either side of a split-point
-    step; 2^w - 1 splits at L = width, where the wrap drops the carry-out."""
-    full = analysis.compute_inc_sets(width, (1 << width) - 1).w_cardinalities
+    """Every W_r set over the full range, and the counts up to r_max on
+    either side of 2^(w-1), the last r with a non-empty W_r."""
+    table = analysis.compute_inc_sets(width, (1 << width) - 1)
+    for r, expect in enumerate(table.w_sets):
+        assert analysis.w_set(width, r) == expect
+    full = table.w_cardinalities
     for r_max in sorted({0, 1, (1 << (width - 1)) - 1, 1 << (width - 1), (1 << width) - 1}):
-        assert analysis._w_cardinalities(width, r_max) == list(full[: r_max + 1])
+        assert analysis.inc_set_counts(width, r_max) == list(full[: r_max + 1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -236,16 +240,35 @@ def test_w_cardinalities_split_points(width):
 def test_w_cardinalities(width, data):
     r_max = data.draw(st.integers(min_value=0, max_value=(2 << width) + 3))
     expect = analysis.compute_inc_sets(width, r_max).w_cardinalities
-    assert analysis._w_cardinalities(width, r_max) == list(expect)
+    assert analysis.inc_set_counts(width, r_max) == list(expect)
 
 
 def test_carry_class_offsets_w32_small_r():
+    seen: set[int] = set()
     for r in range(600):
-        assert analysis.carry_class_offsets(32, r) == gfref.carry_class_offsets(32, r)
+        ys = gfref.carry_class_offsets(32, r)
+        assert analysis.w_set(32, r) == ys - seen
+        seen |= ys
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=32), st.data())
-def test_carry_class_offsets(width, data):
-    r = data.draw(st.integers(min_value=0, max_value=(4 << width) - 1))
-    assert analysis.carry_class_offsets(width, r) == gfref.carry_class_offsets(width, r)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.data())
+def test_w_set_against_the_full_depth_search(width, data):
+    r = data.draw(st.integers(min_value=0, max_value=40))
+    earlier = set().union(*(gfref.carry_class_offsets(width, i) for i in range(r)))
+    assert analysis.w_set(width, r) == gfref.carry_class_offsets(width, r) - earlier
+
+
+def test_carry_class_offsets():
+    """The full-depth search against brute force: every r at widths 1-8,
+    and r < 256 at width 12."""
+    cases = [(width, r) for width in range(1, 9) for r in range(1 << width)]
+    for width, r in cases + [(12, r) for r in range(256)]:
+        assert gfref.carry_class_offsets(width, r) == analysis.exhaustive_offsets(width, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=128), st.integers(min_value=0, max_value=300))
+def test_inc_set_counts_are_the_w_set_sizes(width, r_max):
+    expect = [len(analysis.w_set(width, r)) for r in range(r_max + 1)]
+    assert analysis.inc_set_counts(width, r_max) == expect
