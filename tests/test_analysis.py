@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import gfref
 from wideblock.analysis import (
     DEFAULT_PARAMS,
     TABLE_ROWS,
@@ -11,6 +12,7 @@ from wideblock.analysis import (
     WidthTooLarge,
     compute_inc_sets,
     eval_bound,
+    exhaustive_offsets,
     inc_set_counts,
     parse_magnitude,
     sample_w32,
@@ -60,6 +62,16 @@ def test_no_offset_shared_by_two_increment_counts_at_one_point():
     for x in range(256):
         offsets = {((x + r) & 0xFF) ^ x for r in range(256)}
         assert len(offsets) == 256
+
+
+def test_carry_class_matches_exhaustive_width12():
+    for r in range(256):
+        assert gfref.carry_class_offsets(12, r) == exhaustive_offsets(12, r)
+
+
+def test_carry_class_matches_exhaustive_width8_all_r():
+    for r in range(256):
+        assert gfref.carry_class_offsets(8, r) == exhaustive_offsets(8, r)
 
 
 def test_w_set_and_counts_reject_bad_ranges():
