@@ -254,8 +254,6 @@ _FORMULAS: dict[str, tuple[str, Callable[[BoundParams], Fraction]]] = {
     ),
 }
 
-SCHEMES = tuple(_FORMULAS)
-
 #: Row order of the comparison report.  Both pre-repair rows use the
 #: (5+2^22) constant; the (3+2^22) form of the pre-repair v1 bound is kept
 #: available as the extra scheme name xcbv1-old-theorem.

@@ -33,7 +33,7 @@ from . import field, modes
 from .blockcipher import BlockCipher
 from .field import FieldElement
 from .modes import TesKeySet, XcbVariant
-from .polyhash import BitString, block_to_field, field_to_block, hctr_hash, parse_n
+from .polyhash import BitString, block_to_field, field_to_block, hctr_hash
 
 BLOCK_BITS = 128
 
@@ -244,17 +244,21 @@ def hctr_keydep_recover(k1: BlockCipher, x: BitString, ciphertext: BitString) ->
 
 
 def swap_blocks(data: BitString, i: int, j: int) -> BitString:
-    """Swap 128-bit blocks i and j (1-based) of a bit string."""
-    blocks = parse_n(data)
-    if not (1 <= i <= len(blocks) and 1 <= j <= len(blocks)):
-        raise IndexOutOfSpan(f"block index out of range 1..{len(blocks)}")
-    if blocks[i - 1].bitlen != BLOCK_BITS or blocks[j - 1].bitlen != BLOCK_BITS:
+    """Swap 128-bit blocks i and j (1-based) of a bit string: one join of
+    byte slices, so the cost is linear in the length."""
+    m = -(-data.bitlen // BLOCK_BITS)
+    if not (1 <= i <= m and 1 <= j <= m):
+        raise IndexOutOfSpan(f"block index out of range 1..{m}")
+    if BLOCK_BITS * max(i, j) > data.bitlen:
         raise IndexOutOfSpan("only full 128-bit blocks can be swapped")
-    blocks[i - 1], blocks[j - 1] = blocks[j - 1], blocks[i - 1]
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = out + b
-    return out
+    if i == j:
+        return data
+    a, b = 16 * (min(i, j) - 1), 16 * (max(i, j) - 1)
+    raw = data.data
+    return BitString(
+        raw[:a] + raw[b : b + 16] + raw[a + 16 : b] + raw[a : a + 16] + raw[b + 16 :],
+        data.bitlen,
+    )
 
 
 def xcb_cycling_forge(

@@ -171,14 +171,12 @@ def _key_table(h: FieldElement) -> tuple:
 
 
 def _horner(table: tuple, acc: int, data: bytes) -> int:
-    """Horner steps acc = (acc + c)*h over the 16-byte blocks c of data, read
-    big-endian, a partial last block padded with zero bytes, for the h whose
-    table this is.
+    """Horner steps acc = (acc + c)*h over the 16-byte blocks c of data (whole
+    blocks), read big-endian, for the h whose table this is.
 
     Each product is one lookup per nibble of acc + c.  The 32 lookups are
     written out, since a loop over the table costs about a third more.
     """
-    data += bytes(-len(data) % 16)
     (l0, h0), (l1, h1), (l2, h2), (l3, h3), (l4, h4), (l5, h5), (l6, h6), (l7, h7), \
         (l8, h8), (l9, h9), (l10, h10), (l11, h11), (l12, h12), (l13, h13), (l14, h14), \
         (l15, h15) = table

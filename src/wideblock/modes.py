@@ -1,7 +1,8 @@
 """Wide-block tweakable enciphering schemes.
 
-Six length-preserving modes, each one pass of the same hash-counter-hash
-pipeline (``_hash_counter_hash``):
+Six length-preserving modes, each a hash-counter-hash sandwich around one
+special block x, written as two bodies: ``_xcb`` for the four XCB variants
+and ``_hctr`` for HCTR with or without the repaired hash.
 
 * ``xcbv1``  -- two hash keys, special first block, 32-bit-increment counter
 * ``xcbv2``  -- one hash key, special last block, 32-bit-increment counter
@@ -9,18 +10,17 @@ pipeline (``_hash_counter_hash``):
 * ``hctr`` (and its repaired-hash variant) -- two independent master keys,
   special first block, XOR-index counter
 
-The special block x meets the block cipher under one of two rules.  XCB
-enciphers then adds: S = E(x) xor H, output D(S xor H').  HCTR adds then
-enciphers: U = x xor H, V = pi(U), S = U xor V, output V xor H'.  Decryption
-runs the same pipeline with the two hashes swapped, and with Ke and Kd
-swapped in XCB or pi = D in place of E in HCTR.  ``MODES`` maps each mode
-name to its key derivation and its cipher call.
+XCB enciphers then adds: S = E(x) xor H, the counter from S, output
+D(S xor H').  HCTR adds then enciphers: U = x xor H, V = pi(U), the counter
+from U xor V, output V xor H'.  Each body serves both directions: XCB
+decrypts with Ke and Kd swapped and the two hashes in the other order, HCTR
+with pi = D in place of E.  ``MODES`` maps each mode name to its key
+derivation and its cipher call.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -37,9 +37,6 @@ from .polyhash import (
 )
 
 CipherFactory = Callable[[bytes], BlockCipher]
-_Hash = Callable[[BitString], BitString]
-#: (special block, first hash) -> (counter seed, finish(second hash) -> output block)
-_SpecialRule = Callable[[BitString, BitString], tuple[BitString, _Hash]]
 
 #: Both payload and tweak are capped at 2^39 bits.
 MAX_BITS = 1 << 39
@@ -97,14 +94,13 @@ VARIANTS = {v.name: v for v in (XCBV1, XCBV2, MXCBV1, MXCBV2)}
 
 @dataclass(frozen=True)
 class TesKeySet:
-    """Master key plus the per-scheme derived subkeys.
+    """The per-scheme subkeys derived from a master key.
 
     ``derived`` is False when any subkey was injected rather than derived
     from the master (used by attack experiments to install weak hash keys).
     """
 
     scheme: str  # "xcbv1" | "xcbv2" | "hctr"
-    master: bytes
     derived: bool = True
     h1: Optional[FieldElement] = None
     h2: Optional[FieldElement] = None
@@ -136,7 +132,6 @@ def derive_keys_v1(master: bytes, factory: CipherFactory = AesCipher) -> TesKeyS
     kc = em.encrypt_block(_constant_block(0x02))
     return TesKeySet(
         scheme="xcbv1",
-        master=bytes(master),
         h1=h1,
         h2=h2,
         ke=factory(ke),
@@ -163,7 +158,6 @@ def derive_keys_v2(master: bytes, factory: CipherFactory = AesCipher) -> TesKeyS
 
     return TesKeySet(
         scheme="xcbv2",
-        master=bytes(master),
         h=FieldElement.from_bytes(em.encrypt_block(bytes(16))),
         ke=factory(subkey(0x01, 0x02)),
         kd=factory(subkey(0x03, 0x04)),
@@ -178,7 +172,6 @@ def hctr_keys(master: bytes, factory: CipherFactory = AesCipher) -> TesKeySet:
         raise BadKeyLength(f"HCTR takes 32 bytes (cipher key then hash key), got {len(master)}")
     return TesKeySet(
         scheme="hctr",
-        master=bytes(master),
         k=factory(master[:16]),
         h=FieldElement.from_bytes(master[16:]),
     )
@@ -217,71 +210,40 @@ def _require_scheme(keys: TesKeySet, scheme: str) -> None:
         raise ValueError(f"key set is for {keys.scheme!r}, expected {scheme!r}")
 
 
-def _xcb_hashes(variant: XcbVariant, keys: TesKeySet, tweak: BitString) -> tuple[_Hash, _Hash]:
-    """The first and second hash of an XCB variant.
-
-    v1 hashes (blocks, tweak) under h1 and then under h2.  v2 uses its one
-    key twice: the first hash takes (0^128 || tweak) against the padded
-    blocks followed by 0^128; the second takes (tweak || 0^128) against the
-    padded blocks followed by an explicit length block, with the hash's own
-    length term suppressed since the assembled argument already carries it.
-    """
-    if variant.version == "v1":
-        return (
-            lambda blocks: field_to_block(xcb_hash(keys.h1, blocks, tweak)),
-            lambda blocks: field_to_block(xcb_hash(keys.h2, blocks, tweak)),
-        )
-
-    def first_hash(blocks: BitString) -> BitString:
-        arg = _pad_to_blocks(blocks) + BLOCK
-        return field_to_block(xcb_hash(keys.h, BLOCK + tweak, arg))
-
-    def second_hash(blocks: BitString) -> BitString:
-        lb = xcb_length_block(tweak.bitlen + BLOCK_BITS, blocks.bitlen)
-        arg = _pad_to_blocks(blocks) + lb
-        return field_to_block(xcb_hash(keys.h, tweak + BLOCK, arg, include_length=False))
-
-    return first_hash, second_hash
-
-
-def _encipher_then_add(e: BlockCipher, d: BlockCipher, x: BitString, h: BitString):
-    """XCB's special block: S = E(x) xor H; the output block is D(S xor H')."""
-    s = BitString(e.encrypt_block(x.data)) ^ h
-    return s, lambda h_out: BitString(d.decrypt_block((s ^ h_out).data))
-
-
-def _add_then_encipher(pi: Callable[[bytes], bytes], x: BitString, h: BitString):
-    """HCTR's special block: U = x xor H, V = pi(U), S = U xor V; output V xor H'."""
-    u = x ^ h
-    v = BitString(pi(u.data))
-    return u ^ v, lambda h_out: v ^ h_out
-
-
-def _hash_counter_hash(data: BitString, special_last: bool, hash_in: _Hash, hash_out: _Hash,
-                       counter: Callable[[BitString, BitString], BitString],
-                       rule: _SpecialRule) -> BitString:
-    """The sandwich every mode is built from.
-
-    Split the special block x off the rest; ``rule(x, hash_in(rest))``
-    gives the counter seed S and a finisher; the counter layer runs over
-    the rest; the finisher turns ``hash_out`` of the counter output into
-    the special output block; join in the original order.
-    """
+def _split(data: BitString, special_last: bool) -> tuple[BitString, BitString]:
+    """The special block and the rest of the payload."""
     n = data.bitlen - BLOCK_BITS
     if special_last:
-        rest, x = data.msb(n), data.lsb(BLOCK_BITS)
-    else:
-        x, rest = data.msb(BLOCK_BITS), data.lsb(n)
-    s, finish = rule(x, hash_in(rest))
-    out = counter(s, rest) if n else rest
-    y = finish(hash_out(out))
-    return out + y if special_last else y + out
+        return data.lsb(BLOCK_BITS), data.msb(n)
+    return data.msb(BLOCK_BITS), data.lsb(n)
+
+
+def _xcb_hash(variant: XcbVariant, keys: TesKeySet, tweak: BitString, blocks: BitString,
+              first: bool) -> BitString:
+    """The first or the second hash block of an XCB variant over blocks.
+
+    v1 hashes (blocks, tweak) under h1 first and under h2 second.  v2 uses
+    its one key twice: the first hash takes (0^128 || tweak) against the
+    padded blocks followed by 0^128; the second takes (tweak || 0^128)
+    against the padded blocks followed by an explicit length block, with the
+    hash's own length term suppressed since the assembled argument already
+    carries it.
+    """
+    if variant.version == "v1":
+        return field_to_block(xcb_hash(keys.h1 if first else keys.h2, blocks, tweak))
+    if first:
+        return field_to_block(xcb_hash(keys.h, BLOCK + tweak, _pad_to_blocks(blocks) + BLOCK))
+    lb = xcb_length_block(tweak.bitlen + BLOCK_BITS, blocks.bitlen)
+    arg = _pad_to_blocks(blocks) + lb
+    return field_to_block(xcb_hash(keys.h, tweak + BLOCK, arg, include_length=False))
 
 
 def _xcb(variant: XcbVariant, keys: TesKeySet, tweak: BitString, payload: BitString,
          allow_partial: bool, forward: bool) -> BitString:
     """Both directions of an XCB variant, behind the scheme, bounds and
-    v2-alignment checks."""
+    v2-alignment checks: S = E(x) xor H(rest), the counter from S over the
+    rest, then y = D(S xor H'(out)).  Decryption swaps Ke with Kd and the
+    first hash with the second."""
     _require_scheme(keys, "xcb" + variant.version)
     _check_bounds(tweak, payload)
     if variant.version == "v2" and payload.bitlen % BLOCK_BITS and not allow_partial:
@@ -289,13 +251,13 @@ def _xcb(variant: XcbVariant, keys: TesKeySet, tweak: BitString, payload: BitStr
             "this variant is insecure for payloads that are not a multiple of "
             "128 bits; pass the explicit insecure-mode flag to force it"
         )
-    hash_in, hash_out = _xcb_hashes(variant, keys, tweak)
-    e, d = keys.ke, keys.kd
-    if not forward:
-        hash_in, hash_out, e, d = hash_out, hash_in, d, e
-    counter = functools.partial(variant.counter, keys.kc)
-    rule = functools.partial(_encipher_then_add, e, d)
-    return _hash_counter_hash(payload, variant.special_last, hash_in, hash_out, counter, rule)
+    e, d = (keys.ke, keys.kd) if forward else (keys.kd, keys.ke)
+    x, rest = _split(payload, variant.special_last)
+    s = BitString(e.encrypt_block(x.data)) ^ _xcb_hash(variant, keys, tweak, rest, forward)
+    out = variant.counter(keys.kc, s, rest) if rest.bitlen else rest
+    h_out = _xcb_hash(variant, keys, tweak, out, not forward)
+    y = BitString(d.decrypt_block((s ^ h_out).data))
+    return out + y if variant.special_last else y + out
 
 
 def xcb_encrypt(
@@ -320,19 +282,18 @@ def xcb_decrypt(
 
 def _hctr(keys: TesKeySet, tweak: BitString, payload: BitString, fixed_hash: bool,
           forward: bool) -> BitString:
-    """Special first block; the rest and the tweak are concatenated into a
-    single hash input on both sides of the counter layer."""
+    """Both directions of HCTR, special block first: U = x xor H(rest || T),
+    V = pi(U), the counter from U xor V over the rest, then
+    y = V xor H(out || T), with pi = E to encrypt and D to decrypt."""
     _require_scheme(keys, "hctr")
     _check_bounds(tweak, payload)
     hash_fn = hctr_hash_fixed if fixed_hash else hctr_hash
-
-    def hash_rest(blocks: BitString) -> BitString:
-        return field_to_block(hash_fn(keys.h, blocks + tweak))
-
-    counter = functools.partial(ctr.xor_ctr, keys.k)
     pi = keys.k.encrypt_block if forward else keys.k.decrypt_block
-    rule = functools.partial(_add_then_encipher, pi)
-    return _hash_counter_hash(payload, False, hash_rest, hash_rest, counter, rule)
+    x, rest = _split(payload, False)
+    u = x ^ field_to_block(hash_fn(keys.h, rest + tweak))
+    v = BitString(pi(u.data))
+    out = ctr.xor_ctr(keys.k, u ^ v, rest) if rest.bitlen else rest
+    return (v ^ field_to_block(hash_fn(keys.h, out + tweak))) + out
 
 
 def hctr_encrypt(

@@ -153,15 +153,6 @@ def parse_n(x: BitString) -> list[BitString]:
     ]
 
 
-def pad(x: BitString) -> BitString:
-    """Right-pad a partial block with zeros to 128 bits."""
-    if not 1 <= x.bitlen <= BLOCK_BITS:
-        raise BadLength(f"pad expects 1..128 bits, got {x.bitlen}")
-    if x.bitlen == BLOCK_BITS:
-        return x
-    return x + BitString.zeros(BLOCK_BITS - x.bitlen)
-
-
 def block_to_field(block: BitString) -> FieldElement:
     if block.bitlen != BLOCK_BITS:
         raise BadLength("field elements are full 128-bit blocks")

@@ -22,7 +22,7 @@ from wideblock.attacks import (
 from wideblock.blockcipher import FeistelCipher
 from wideblock.field import FieldElement
 from wideblock.modes import MXCBV1, XCBV1, XCBV2
-from wideblock.polyhash import BitString, field_to_block, hctr_hash
+from wideblock.polyhash import BitString, field_to_block, hctr_hash, parse_n
 
 rng = random.Random(0xA77AC)
 
@@ -233,6 +233,34 @@ def test_cycling_span_checks():
         xcb_cycling_forge(XCBV1, BitString.empty(), p, c, 3, (1, 4))
     with pytest.raises(ValueError):
         xcb_cycling_forge(XCBV2, BitString.empty(), p, c, 3, (1, 3))
+
+
+def _swap_reference(data, i, j):
+    blocks = parse_n(data)
+    blocks[i - 1], blocks[j - 1] = blocks[j - 1], blocks[i - 1]
+    out = BitString.empty()
+    for b in blocks:
+        out = out + b
+    return out
+
+
+@pytest.mark.parametrize("nbits", [128, 129, 256, 383, 640, 647])
+def test_swap_blocks_matches_block_list_reference(nbits):
+    data = rand_bits(nbits)
+    full = nbits // 128
+    for i in range(1, full + 1):
+        for j in range(1, full + 1):
+            assert swap_blocks(data, i, j) == _swap_reference(data, i, j)
+    assert swap_blocks(data, 1, 1) is data
+    m = -(-nbits // 128)
+    for i, j in [(0, 1), (1, m + 1), (-1, 1)]:
+        with pytest.raises(IndexOutOfSpan, match="out of range"):
+            swap_blocks(data, i, j)
+    if nbits % 128:
+        with pytest.raises(IndexOutOfSpan, match="full 128-bit"):
+            swap_blocks(data, 1, m)
+        with pytest.raises(IndexOutOfSpan, match="full 128-bit"):
+            swap_blocks(data, m, m)
 
 
 def test_cycling_forge_is_counter_family_agnostic():

@@ -15,7 +15,6 @@ from wideblock.polyhash import (
     field_to_block,
     hctr_hash,
     hctr_hash_fixed,
-    pad,
     parse_n,
     xcb_hash,
     xcb_length_block,
@@ -97,19 +96,6 @@ def test_parse_n_examples():
     assert [b.bitlen for b in parse_n(rand_bits(128))] == [128]
     with pytest.raises(EmptyString):
         parse_n(BitString.empty())
-
-
-def test_pad():
-    full = rand_bits(128)
-    assert pad(full) == full
-    one = BitString.from_int(1, 1)
-    assert pad(one).data == b"\x80" + bytes(15)
-    assert block_to_field(pad(one)) == FieldElement(1 << 127)
-    assert pad(BitString.from_int(0, 1)) == BitString.zeros(128)
-    with pytest.raises(BadLength):
-        pad(BitString.empty())
-    with pytest.raises(BadLength):
-        pad(rand_bits(129))
 
 
 def test_block_field_round_trip():
