@@ -25,7 +25,7 @@ def inc(x: BitString) -> BitString:
 def _apply_keystream(data: BitString, counters: bytes, cipher: BlockCipher) -> BitString:
     ks = cipher.encrypt_blocks(counters)
     nbytes = (data.bitlen + 7) // 8
-    ks_bits = BitString(_mask_tail(ks[:nbytes], data.bitlen), data.bitlen)
+    ks_bits = BitString._of(_mask_tail(ks[:nbytes], data.bitlen), data.bitlen)
     return data ^ ks_bits
 
 

@@ -23,6 +23,11 @@ a further 0.37 ms to build (CPython 3.11, 2-vCPU Xeon), which short inputs
 under fresh keys (the attack demos) would never repay; see
 ``BYTE_TABLE_BLOCKS``.
 
+``sqrt`` is GF(2)-linear, so it is one multiply by the constant sqrt(x)
+on top of two bit packings, not 127 squarings.  ``order_divisor`` clears a
+key of no small order with a single exponentiation by the product of the
+small prime factors of 2^128 - 1, not one per candidate divisor.
+
 The lookups of both tables are memory accesses indexed by key-dependent
 data, so nothing here runs in constant time (pure Python would not anyway);
 this is a study package, not a side-channel-hardened one.
@@ -31,6 +36,7 @@ this is a study package, not a side-channel-hardened one.
 from __future__ import annotations
 
 import math
+import operator
 
 # f(x) = x^128 + x^7 + x^2 + x + 1, with the x^128 bit kept explicit so a
 # shift by x can clear it in one XOR.
@@ -80,6 +86,8 @@ class FieldElement:
     __slots__ = ("value", "_mul_table", "_byte_table")
 
     def __init__(self, value: int):
+        if type(value) is not int:
+            value = operator.index(value)
         if not 0 <= value <= _MASK128:
             raise ValueError("field element out of the 128-bit range")
         object.__setattr__(self, "value", value)
@@ -328,13 +336,30 @@ def inv(a: FieldElement) -> FieldElement:
     return FieldElement(g1)
 
 
+#: sqrt(x) = x^(2^127), so that _SQRT_X squared is x.
+_SQRT_X = FieldElement(0x24924924924924926DB6DB6DB6DB6DA4)
+
+
+def _even_bits(v: int) -> int:
+    """The bits of v at even positions 2k, packed down to positions k."""
+    v &= 0x55555555555555555555555555555555
+    v = (v | v >> 1) & 0x33333333333333333333333333333333
+    v = (v | v >> 2) & 0x0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F
+    v = (v | v >> 4) & 0x00FF00FF00FF00FF00FF00FF00FF00FF
+    v = (v | v >> 8) & 0x0000FFFF0000FFFF0000FFFF0000FFFF
+    v = (v | v >> 16) & 0x00000000FFFFFFFF00000000FFFFFFFF
+    return (v | v >> 32) & 0xFFFFFFFFFFFFFFFF
+
+
 def sqrt(a: FieldElement) -> FieldElement:
-    """The unique square root; squaring is a bijection in characteristic 2,
-    and 127 squarings (a^(2^127)) invert it."""
-    r = a.value
-    for _ in range(127):
-        r = _square(r)
-    return FieldElement(r)
+    """The unique square root, as a GF(2)-linear map.
+
+    Squaring is additive in characteristic 2, so with a = sum a_k x^k,
+    sqrt(a) = sum_{k even} a_k x^(k/2) + sqrt(x) * sum_{k odd} a_k x^((k-1)/2):
+    two bit packings and one multiply by the constant sqrt(x).
+    """
+    v = a.value
+    return FieldElement(_even_bits(v) ^ _times(_even_bits(v >> 1), _key_table(_SQRT_X)))
 
 
 def _divisors_of_group_order() -> list[int]:
@@ -372,9 +397,16 @@ def order_divisor(h: FieldElement, max_order: int) -> int | None:
 
     This is the weak-key membership test: a hash key in a subgroup of order
     r satisfies h^r = 1, and every element order divides 2^128 - 1.
+
+    2^128 - 1 is squarefree, so an order r <= max_order is a product of
+    distinct prime factors p <= max_order and divides their product L.  One
+    exponentiation h^L != 1 therefore clears h; only when h^L = 1 are the
+    divisors tried in increasing order.
     """
     if h.value == 0:
         raise ZeroElement("zero is not in the multiplicative group")
+    if pow(h, math.prod(p for p in GROUP_ORDER_FACTORS if p <= max_order)) != ONE:
+        return None
     for r in _GROUP_ORDER_DIVISORS:
         if r > max_order:
             break

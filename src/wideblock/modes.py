@@ -253,10 +253,11 @@ def _xcb(variant: XcbVariant, keys: TesKeySet, tweak: BitString, payload: BitStr
         )
     e, d = (keys.ke, keys.kd) if forward else (keys.kd, keys.ke)
     x, rest = _split(payload, variant.special_last)
-    s = BitString(e.encrypt_block(x.data)) ^ _xcb_hash(variant, keys, tweak, rest, forward)
+    s = BitString._of(e.encrypt_block(x.data), BLOCK_BITS)
+    s ^= _xcb_hash(variant, keys, tweak, rest, forward)
     out = variant.counter(keys.kc, s, rest) if rest.bitlen else rest
     h_out = _xcb_hash(variant, keys, tweak, out, not forward)
-    y = BitString(d.decrypt_block((s ^ h_out).data))
+    y = BitString._of(d.decrypt_block((s ^ h_out).data), BLOCK_BITS)
     return out + y if variant.special_last else y + out
 
 
@@ -291,7 +292,7 @@ def _hctr(keys: TesKeySet, tweak: BitString, payload: BitString, fixed_hash: boo
     pi = keys.k.encrypt_block if forward else keys.k.decrypt_block
     x, rest = _split(payload, False)
     u = x ^ field_to_block(hash_fn(keys.h, rest + tweak))
-    v = BitString(pi(u.data))
+    v = BitString._of(pi(u.data), BLOCK_BITS)
     out = ctr.xor_ctr(keys.k, u ^ v, rest) if rest.bitlen else rest
     return (v ^ field_to_block(hash_fn(keys.h, out + tweak))) + out
 

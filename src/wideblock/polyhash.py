@@ -16,6 +16,13 @@ inputs below ``field.BYTE_TABLE_BLOCKS`` blocks (2 KiB) in total, the 8-bit
 table from there on, whose larger build pays off only over long inputs.
 Lookups in either table are key-dependent memory accesses: the hash is not
 constant time.
+
+The public ``BitString`` constructor converts its data to ``bytes`` and
+checks the length and the zero tail.  Results that meet both by
+construction (concatenation, XOR, ``msb``/``lsb``, ``from_int``,
+``parse_n``, ``field_to_block``, and the cipher and keystream outputs in
+``modes`` and ``ctr``) are built by the private ``BitString._of``, which
+sets the two slots without either.
 """
 
 from __future__ import annotations
@@ -54,7 +61,8 @@ class BitString:
     __slots__ = ("data", "bitlen")
 
     def __init__(self, data: bytes, bitlen: int | None = None):
-        data = bytes(data)
+        if type(data) is not bytes:
+            data = bytes(memoryview(data))  # TypeError unless data is bytes-like
         if bitlen is None:
             bitlen = 8 * len(data)
         if bitlen < 0 or len(data) != (bitlen + 7) // 8:
@@ -63,6 +71,15 @@ class BitString:
             raise ValueError("unused trailing bits must be zero")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "bitlen", bitlen)
+
+    @classmethod
+    def _of(cls, data: bytes, bitlen: int) -> "BitString":
+        """A bit string from bytes that already meet the invariants (exactly
+        (bitlen + 7) // 8 of them, zero tail), without the copy or checks."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "data", data)
+        object.__setattr__(s, "bitlen", bitlen)
+        return s
 
     def __setattr__(self, name, _value):
         raise AttributeError("BitString is immutable")
@@ -81,7 +98,7 @@ class BitString:
         if value < 0 or (nbits < value.bit_length()):
             raise ValueError("value does not fit in the requested width")
         nbytes = (nbits + 7) // 8
-        return cls((value << (8 * nbytes - nbits)).to_bytes(nbytes, "big"), nbits)
+        return cls._of((value << (8 * nbytes - nbits)).to_bytes(nbytes, "big"), nbits)
 
     def to_int(self) -> int:
         """The bits read as a big-endian integer (empty string is 0)."""
@@ -111,7 +128,7 @@ class BitString:
     def __add__(self, other: "BitString") -> "BitString":
         """Concatenation."""
         if self.bitlen % 8 == 0:
-            return BitString(self.data + other.data, self.bitlen + other.bitlen)
+            return BitString._of(self.data + other.data, self.bitlen + other.bitlen)
         total = self.bitlen + other.bitlen
         return BitString.from_int((self.to_int() << other.bitlen) | other.to_int(), total)
 
@@ -121,13 +138,13 @@ class BitString:
             raise BadLength("XOR requires equal bit lengths")
         n = len(self.data)
         raw = int.from_bytes(self.data, "big") ^ int.from_bytes(other.data, "big")
-        return BitString(raw.to_bytes(n, "big"), self.bitlen)
+        return BitString._of(raw.to_bytes(n, "big"), self.bitlen)
 
     def msb(self, r: int) -> "BitString":
         """The leading r bits."""
         if not 0 <= r <= self.bitlen:
             raise BadLength("msb length out of range")
-        return BitString(_mask_tail(self.data[: (r + 7) // 8], r), r)
+        return BitString._of(_mask_tail(self.data[: (r + 7) // 8], r), r)
 
     def lsb(self, r: int) -> "BitString":
         """The trailing r bits."""
@@ -135,7 +152,7 @@ class BitString:
             raise BadLength("lsb length out of range")
         cut = self.bitlen - r
         if cut % 8 == 0:
-            return BitString(self.data[cut // 8 :], r)
+            return BitString._of(self.data[cut // 8 :], r)
         return BitString.from_int(self.to_int() & ((1 << r) - 1), r)
 
 
@@ -148,7 +165,7 @@ def parse_n(x: BitString) -> list[BitString]:
     if x.bitlen == 0:
         raise EmptyString("cannot parse an empty string into blocks")
     return [
-        BitString(x.data[i : i + 16], min(BLOCK_BITS, x.bitlen - 8 * i))
+        BitString._of(x.data[i : i + 16], min(BLOCK_BITS, x.bitlen - 8 * i))
         for i in range(0, len(x.data), 16)
     ]
 
@@ -160,7 +177,7 @@ def block_to_field(block: BitString) -> FieldElement:
 
 
 def field_to_block(element: FieldElement) -> BitString:
-    return BitString(element.to_bytes(), BLOCK_BITS)
+    return BitString._of(element.to_bytes(), BLOCK_BITS)
 
 
 def xcb_length_block(x_bits: int, t_bits: int) -> BitString:

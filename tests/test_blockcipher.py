@@ -1,6 +1,9 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from wideblock.blockcipher import AesCipher, BadBlockLength, BadKeyLength, FeistelCipher
 
@@ -103,3 +106,35 @@ def test_feistel_seed_constructor_is_deterministic():
     block = rng.randbytes(16)
     assert a.encrypt_block(block) == b.encrypt_block(block)
     assert a.encrypt_block(block) != FeistelCipher.from_seed(1).encrypt_block(block)
+
+
+def test_aes_is_safe_under_concurrent_calls():
+    """Four threads share one instance and its kept contexts; a thread
+    switch may fall inside any call.  Every result must match a context
+    built fresh for that call."""
+    key = rng.randbytes(16)
+    shared = AesCipher(key)
+    reference = Cipher(algorithms.AES(key), modes.ECB())
+
+    def fresh(make_context, data: bytes) -> bytes:
+        ctx = make_context()
+        return ctx.update(data) + ctx.finalize()
+
+    def worker(seed: int) -> None:
+        wrng = random.Random(seed)
+        for i in range(300):
+            block = wrng.randbytes(16)
+            assert shared.encrypt_block(block) == fresh(reference.encryptor, block)
+            assert shared.decrypt_block(block) == fresh(reference.decryptor, block)
+            if i % 10 == 0:
+                data = wrng.randbytes(1 << 16)
+                assert shared.encrypt_blocks(data) == fresh(reference.encryptor, data)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for future in [pool.submit(worker, seed) for seed in range(4)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(old)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import gfref
 import pytest
 
 from gfref import check_field_laws, mul_oracle
@@ -137,3 +138,50 @@ def test_element_is_immutable():
     a = rand_element()
     with pytest.raises(AttributeError):
         a.value = 0
+
+
+def test_sqrt_of_x_constant():
+    assert field.square(field._SQRT_X) == X
+    assert field._SQRT_X == gfref.sqrt(X)
+
+
+def test_sqrt_on_every_basis_vector():
+    """sqrt is GF(2)-linear, so agreeing with the reference on each x^k
+    makes the two maps equal on the whole field."""
+    for k in range(128):
+        basis = FieldElement(1 << k)
+        assert field.sqrt(basis) == gfref.sqrt(basis), k
+
+
+# Prime factors of 2^128 - 1 up to 2^20.
+SMALL_PRIMES = [p for p in GROUP_ORDER_FACTORS if p <= 1 << 20]
+EDGE_MAX_ORDERS = sorted({0, 1} | {m for p in SMALL_PRIMES for m in (p - 1, p, p + 1)})
+
+
+def _weak_elements() -> list[FieldElement]:
+    weak = [field.element_of_order(r) for r in (3, 5, 17, 15, 257 * 641)]
+    return weak + [field.pow(weak[3], 3), field.pow(weak[4], 641), field.pow(weak[4], 257)]
+
+
+@pytest.mark.parametrize("max_order", EDGE_MAX_ORDERS)
+def test_order_divisor_edges_against_reference(max_order):
+    for h in [field.ONE, rand_element()] + _weak_elements():
+        assert field.order_divisor(h, max_order) == gfref.order_divisor(h, max_order), h
+
+
+def test_order_divisor_across_a_large_factor():
+    """An element of order 3 * 65537 has h^L = 1 for no L built from the
+    primes up to 65536, and is found once the bound reaches its order."""
+    h = field.element_of_order(3 * 65537)
+    assert field.order_divisor(h, 65536) is None
+    assert field.order_divisor(h, 3 * 65537) == 3 * 65537
+    assert field.order_divisor(h, 3 * 65537 - 1) is None
+    assert field.order_divisor(field.pow(h, 65537), 3) == 3
+
+
+def test_field_element_rejects_non_integers():
+    with pytest.raises(TypeError):
+        FieldElement(1.5)
+    with pytest.raises(TypeError):
+        FieldElement("1")
+    assert type(FieldElement(True).value) is int

@@ -166,6 +166,27 @@ def test_round_trip_property(name, nbits, tweak_bits, draw):
         assert mode.crypt(keys, tweak, c, encrypt=False, allow_partial=partial) == p
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(list(modes.MODES)),
+    st.integers(min_value=128, max_value=700),
+    st.integers(min_value=0, max_value=200),
+    st.randoms(use_true_random=False),
+)
+def test_mode_outputs_meet_the_bitstring_invariants(name, nbits, tweak_bits, draw):
+    """Mode outputs are assembled from cipher outputs and keystream without
+    the constructor's checks; they must still pass them and hold bytes."""
+    mode = modes.MODES[name]
+    keys = mode.derive(draw.randbytes(16 if mode.variant else 32))
+    tweak = BitString.from_int(draw.getrandbits(tweak_bits), tweak_bits)
+    payload = BitString.from_int(draw.getrandbits(nbits), nbits)
+    partial = nbits % 128 != 0
+    for encrypt in (True, False):
+        out = mode.crypt(keys, tweak, payload, encrypt=encrypt, allow_partial=partial)
+        assert type(out.data) is bytes
+        assert BitString(out.data, out.bitlen) == out
+
+
 # ---------------------------------------------------------------------------
 # Hand traces
 

@@ -90,6 +90,37 @@ def test_parse_concat_identity(nbits, hrng):
     assert 1 <= blocks[-1].bitlen <= 128
 
 
+def test_bitstring_rejects_data_that_is_not_bytes_like():
+    with pytest.raises(TypeError):
+        BitString(5)  # bytes(5) would be five zero bytes
+    with pytest.raises(TypeError):
+        BitString([1, 2])
+    with pytest.raises(TypeError):
+        BitString("ab")
+    assert BitString(bytearray(b"\xab")) == BitString(memoryview(b"\xab")) == BitString(b"\xab")
+    assert type(BitString(bytearray(b"\xab")).data) is bytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=400),
+    st.randoms(use_true_random=False),
+)
+def test_unchecked_constructions_meet_the_invariants(abits, bbits, hrng):
+    """Results the package builds without the constructor's checks."""
+    a = BitString.from_int(hrng.getrandbits(abits), abits)
+    b = BitString.from_int(hrng.getrandbits(bbits), bbits)
+    same = BitString.from_int(hrng.getrandbits(abits), abits)
+    cut = hrng.randrange(abits + 1)
+    results = [a, b, a + b, b + a, a ^ same, a.msb(cut), a.lsb(cut), a.lsb(abits - cut)]
+    if abits:
+        results += parse_n(a)
+    for v in results:
+        assert type(v.data) is bytes
+        assert BitString(v.data, v.bitlen) == v
+
+
 def test_parse_n_examples():
     assert [b.bitlen for b in parse_n(rand_bits(256))] == [128, 128]
     assert [b.bitlen for b in parse_n(rand_bits(129))] == [128, 1]
