@@ -37,8 +37,9 @@ from .polyhash import BitString, block_to_field, field_to_block, hctr_hash
 
 BLOCK_BITS = 128
 
-# pad of a single 1 bit: the x^127 monomial
+# pad of a single 1 bit: the x^127 monomial, and its inverse x^-127
 _PAD_ONE = FieldElement(1 << 127)
+_PAD_ONE_INV = FieldElement(0xB604395D27EF1A8B604395D27EF1A8EE)
 
 _ZERO_BIT = BitString.from_int(0, 1)
 _EMPTY = BitString.empty()
@@ -195,7 +196,7 @@ def hctr_recover_h(oracle: EncryptionOracle, max_iters: int, seed: int) -> Attac
         if tail != 1:
             continue
         delta = block_to_field(c_short ^ c_long.msb(BLOCK_BITS))
-        h = field.sqrt(field.mul(delta, field.inv(_PAD_ONE)))
+        h = field.sqrt(field.mul(delta, _PAD_ONE_INV))
 
         # Prediction check on an independent pair: with the right h, the
         # first block of E(y||0) is E_K(CC) xor H_h(tail bit), and E_K(CC)

@@ -15,7 +15,6 @@ the calls: a context is not safe to use from two threads at once.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -117,6 +116,8 @@ class FeistelCipher(BlockCipher):
     ROUNDS = 12
 
     def __init__(self, key: bytes):
+        import hashlib  # here, so the AES path never loads it
+
         if not key:
             raise BadKeyLength("key must be non-empty")
         self.key = bytes(key)

@@ -5,6 +5,10 @@ attack demonstrations against harness-generated hidden keys, print the
 security-bound comparison table, scan a hash key for small subgroup
 membership, and compute counter-offset sets.
 
+Only ``attack`` and ``weakkey`` load ``attacks``, and only ``bounds`` and
+``incsets`` load ``analysis``; ``encrypt``/``decrypt`` import just the
+cipher path (block cipher, field, hash, counter and modes).
+
 CLI payloads are whole files, so byte-aligned; bit-granular inputs exist
 only inside the attack harness.  Identical (argv, seed, input) always
 produces identical output.
@@ -17,8 +21,10 @@ import os
 import random
 import sys
 
-from . import analysis, attacks, modes
-from .field import FieldElement, element_of_order
+# encrypt/decrypt need only the cipher path; the subcommands that use
+# ``analysis`` or ``attacks`` import them when they run, so a file
+# operation never loads those layers or the dataclasses behind them.
+from . import modes
 from .polyhash import BitString
 
 
@@ -77,6 +83,9 @@ def _random_block(rng: random.Random) -> BitString:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
+    from . import attacks
+    from .field import element_of_order
+
     rng = random.Random(args.seed)
 
     if args.attack == "hctr-distinguish":
@@ -149,6 +158,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from . import analysis
+
     params = analysis.BoundParams(
         q=analysis.parse_magnitude(args.q),
         ell=args.len,
@@ -161,6 +172,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_weakkey(args: argparse.Namespace) -> int:
+    from . import attacks
+    from .field import FieldElement
+
     h = FieldElement.from_hex(args.h)
     report = attacks.weak_key_scan(h, args.max_order)
     print(report.serialize())
@@ -168,6 +182,8 @@ def _cmd_weakkey(args: argparse.Namespace) -> int:
 
 
 def _cmd_incsets(args: argparse.Namespace) -> int:
+    from . import analysis
+
     counts = analysis.inc_set_counts(args.width, args.rmax)
     print(f"width {args.width} rmax {args.rmax}")
     print(f"w_max {max(counts)}")

@@ -14,14 +14,6 @@ from .polyhash import BitString, _mask_tail
 _LOW32 = 0xFFFFFFFF
 
 
-def inc(x: BitString) -> BitString:
-    """Increment the low 32 bits of a 128-bit block modulo 2^32."""
-    if x.bitlen != 128:
-        raise BadBlockLength("inc operates on full 128-bit blocks")
-    low = (int.from_bytes(x.data[12:], "big") + 1) & _LOW32
-    return BitString(x.data[:12] + low.to_bytes(4, "big"), 128)
-
-
 def _apply_keystream(data: BitString, counters: bytes, cipher: BlockCipher) -> BitString:
     ks = cipher.encrypt_blocks(counters)
     nbytes = (data.bitlen + 7) // 8
@@ -30,8 +22,8 @@ def _apply_keystream(data: BitString, counters: bytes, cipher: BlockCipher) -> B
 
 
 def xcb_ctr(cipher: BlockCipher, s: BitString, data: BitString) -> BitString:
-    """Keystream block i (0-based) is E(inc^i(S)); an involution for fixed
-    cipher and seed."""
+    """Keystream block i (0-based) is E(inc^i(S)), where inc adds 1 modulo
+    2^32 to the low 32 bits; an involution for fixed cipher and seed."""
     if s.bitlen != 128:
         raise BadBlockLength("counter seed must be 128 bits")
     seed = int.from_bytes(s.data, "big")

@@ -20,8 +20,6 @@ derivation and its cipher call.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from . import ctr
@@ -55,8 +53,7 @@ class PartialBlockRejected(ValueError):
     attack) without the explicit insecure-mode flag."""
 
 
-@dataclass(frozen=True)
-class XcbVariant:
+class XcbVariant(NamedTuple):
     """An XCB family member: construction version plus counter family."""
 
     version: str  # "v1" | "v2"
@@ -92,8 +89,7 @@ MXCBV2 = XcbVariant("v2", "xor_index")
 VARIANTS = {v.name: v for v in (XCBV1, XCBV2, MXCBV1, MXCBV2)}
 
 
-@dataclass(frozen=True)
-class TesKeySet:
+class TesKeySet(NamedTuple):
     """The per-scheme subkeys derived from a master key.
 
     ``derived`` is False when any subkey was injected rather than derived
@@ -187,7 +183,7 @@ def inject_subkeys(keys: TesKeySet, **overrides) -> TesKeySet:
     unknown = set(overrides) - allowed
     if unknown:
         raise TypeError(f"unknown subkeys: {sorted(unknown)}")
-    return dataclasses.replace(keys, derived=False, **overrides)
+    return keys._replace(derived=False, **overrides)
 
 
 def _check_bounds(tweak: BitString, payload: BitString) -> None:

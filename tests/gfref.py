@@ -11,11 +11,15 @@ These deliberately avoid the production code paths:
   explicit powers of the key instead of Horner's rule;
 * ``xor``, ``lsb`` and ``parse_n`` are the original per-byte and big-int
   ``BitString`` code that the slicing and int-XOR paths replaced;
+* ``inc`` is the block-at-a-time 32-bit counter increment that the
+  counter layers in ``wideblock.ctr`` replaced with integer arithmetic
+  over all counters at once;
 * ``carry_class_offsets`` is the original full-depth carry-chain search
   for Y_r that the closed form of W_r in ``wideblock.analysis`` replaced.
 """
 
 from wideblock import field
+from wideblock.blockcipher import BadBlockLength
 from wideblock.field import FieldElement
 from wideblock.polyhash import BitString, _mask_tail
 
@@ -158,6 +162,14 @@ def parse_n(x: BitString) -> list[BitString]:
         remaining -= width
         blocks.append(BitString.from_int((v >> remaining) & ((1 << width) - 1), width))
     return blocks
+
+
+def inc(x: BitString) -> BitString:
+    """Increment the low 32 bits of a 128-bit block modulo 2^32."""
+    if x.bitlen != 128:
+        raise BadBlockLength("inc operates on full 128-bit blocks")
+    low = (int.from_bytes(x.data[12:], "big") + 1) & 0xFFFFFFFF
+    return BitString(x.data[:12] + low.to_bytes(4, "big"), 128)
 
 
 def carry_class_offsets(width: int, r: int) -> frozenset[int]:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import gfref
 from wideblock import attacks, field, modes
 from wideblock.attacks import (
     AttackReport,
@@ -83,6 +84,11 @@ def test_recover_h_is_exact():
         assert report.successes == 1
         assert report.recovered_material == keys.h
         assert 1 <= report.trials <= 40
+
+
+def test_pad_one_inverse_literal():
+    assert field.mul(attacks._PAD_ONE, attacks._PAD_ONE_INV) == field.ONE
+    assert attacks._PAD_ONE_INV == gfref.inv(attacks._PAD_ONE)
 
 
 def test_recover_h_iteration_count_is_geometric():

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -53,6 +56,40 @@ def test_file_round_trip(tmp_path, capsys, mode, key_bytes):
     )
     assert code == 0
     assert dec.read_bytes() == data
+
+
+#: Modules that only the analysis and attack subcommands, or the test
+#: cipher, need; none of them may load on the encrypt path.
+_NOT_ON_THE_CIPHER_PATH = (
+    "wideblock.analysis", "wideblock.attacks", "dataclasses", "inspect",
+    "fractions", "decimal", "hashlib",
+)
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    """The module names a fresh interpreter holds after running code
+    against this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    dump = "\nimport sys; print('\\n'.join(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code + dump], env=env, capture_output=True, text=True, check=True
+    )
+    return set(proc.stdout.split())
+
+
+def test_encrypt_loads_only_the_cipher_layers(tmp_path):
+    plain = tmp_path / "plain.bin"
+    plain.write_bytes(bytes(16))
+    argv = ["encrypt", "--mode", "xcbv2", "--key", "00" * 16,
+            "--in", str(plain), "--out", str(tmp_path / "enc.bin")]
+    loaded = _modules_loaded_by(
+        f"from wideblock import cli\nassert cli.main({argv!r}) == 0"
+    )
+    # What site and the two third-party imports bring in anyway is not the
+    # package's doing.
+    baseline = _modules_loaded_by("import argparse, cryptography.hazmat.primitives.ciphers")
+    assert "wideblock.modes" in loaded
+    assert sorted(set(_NOT_ON_THE_CIPHER_PATH) & (loaded - baseline)) == []
 
 
 def test_v2_partial_file_needs_flag(tmp_path, capsys):

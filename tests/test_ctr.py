@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from gfref import inc
 from wideblock.blockcipher import BadBlockLength, FeistelCipher
-from wideblock.ctr import inc, xcb_ctr, xor_ctr
+from wideblock.ctr import xcb_ctr, xor_ctr
 from wideblock.polyhash import BitString
 
 rng = random.Random(0xC7)

@@ -4,17 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfref import inc
 from wideblock import field, modes
 from wideblock.blockcipher import BadKeyLength, FeistelCipher
-from wideblock.ctr import inc
 from wideblock.field import FieldElement
 from wideblock.modes import (
     MXCBV1,
     MXCBV2,
+    VARIANTS,
     XCBV1,
     XCBV2,
     LengthBounds,
     PartialBlockRejected,
+    TesKeySet,
+    XcbVariant,
     derive_keys_v1,
     derive_keys_v2,
     hctr_decrypt,
@@ -332,6 +335,51 @@ def test_inject_marks_non_derived_and_replaces():
 def test_inject_unknown_field_rejected():
     with pytest.raises(TypeError):
         inject_subkeys(fresh_v2_keys(), nonsense=1)
+
+
+@pytest.mark.parametrize("name", ["scheme", "derived"])
+def test_inject_rejects_non_subkey_fields(name):
+    with pytest.raises(TypeError):
+        inject_subkeys(fresh_v2_keys(), **{name: 1})
+
+
+def test_inject_keeps_untouched_subkeys_as_the_same_objects():
+    keys = fresh_v1_keys()
+    weak = field.element_of_order(3)
+    injected = inject_subkeys(keys, h1=weak)
+    assert type(injected) is TesKeySet
+    assert injected.h1 is weak
+    for name in ("scheme", "h2", "h", "ke", "kd", "kc", "k"):
+        assert getattr(injected, name) is getattr(keys, name)
+
+
+# ---------------------------------------------------------------------------
+# Key sets and variants are named tuples
+
+
+@pytest.mark.parametrize("obj,name", [
+    (XCBV1, "version"),
+    (MXCBV2, "counter_family"),
+    (hctr_keys(bytes(32), factory=FeistelCipher), "h"),
+    (hctr_keys(bytes(32), factory=FeistelCipher), "derived"),
+])
+def test_fields_cannot_be_assigned(obj, name):
+    with pytest.raises(AttributeError):
+        setattr(obj, name, getattr(obj, name))
+
+
+def test_variant_repr():
+    assert repr(XCBV1) == "XcbVariant(version='v1', counter_family='inc32')"
+
+
+def test_variants_hash_and_compare_by_value():
+    assert VARIANTS == {"xcbv1": XCBV1, "xcbv2": XCBV2, "mxcbv1": MXCBV1, "mxcbv2": MXCBV2}
+    by_variant = {v: name for name, v in VARIANTS.items()}
+    assert by_variant[XcbVariant("v2", "xor_index")] == "mxcbv2"
+    assert len(by_variant) == 4
+    # A variant is a tuple of its fields, and unpacks as one.
+    version, family = XCBV2
+    assert (version, family) == XCBV2 == ("v2", "inc32")
 
 
 def test_hctr_keys_split():
