@@ -70,9 +70,9 @@ def _modules_loaded_by(code: str) -> set[str]:
     """The module names a fresh interpreter holds after running code
     against this checkout's sources."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    dump = "\nimport sys; print('\\n'.join(sorted(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", code + dump], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
     )
     return set(proc.stdout.split())
 
