@@ -5,12 +5,13 @@ Every enciphering mode in this package only needs a keyed permutation on
 is provided as a deterministic test permutation so algebraic tests do not
 depend on an AES implementation.
 
-``AesCipher`` keeps one ECB encryptor and one decryptor for its key and
-feeds every call through them.  ECB carries no state from one whole block
-to the next, so a kept context gives the same output as a fresh one, and a
-single block costs about 1.5 us instead of about 12 us for building a new
-context (CPython 3.11, cryptography 48, 2-vCPU Xeon).  A lock serialises
-the calls: a context is not safe to use from two threads at once.
+``AesCipher`` keeps one ECB encryptor for its key, and one decryptor from
+its first decryption on, and feeds every call through them.  ECB carries no
+state from one whole block to the next, so a kept context gives the same
+output as a fresh one, and a single block costs about 1.5 us instead of
+about 12 us for building a new context (CPython 3.11, cryptography 48,
+2-vCPU Xeon).  A lock serialises the calls: a context is not safe to use
+from two threads at once.
 """
 
 from __future__ import annotations
@@ -62,17 +63,20 @@ def _check_block(block: bytes) -> None:
 class AesCipher(BlockCipher):
     """AES-128/192/256 behind the block interface (ECB on whole blocks).
 
-    The key's ECB encryptor and decryptor are built once and kept; one lock
-    guards both, so concurrent calls stay safe.
+    The key's ECB encryptor is built with the instance and kept; its
+    decryptor is built on the first ``decrypt_block`` and kept, since most
+    keys (the master ciphers of the key derivations, every counter key)
+    never decrypt.  One lock guards both contexts and the decryptor's
+    build, so concurrent calls stay safe.
     """
 
     def __init__(self, key: bytes):
         if len(key) not in (16, 24, 32):
             raise BadKeyLength(f"AES key must be 16/24/32 bytes, got {len(key)}")
         self.key = bytes(key)
-        cipher = Cipher(algorithms.AES(self.key), modes.ECB())
-        self._encryptor = cipher.encryptor()
-        self._decryptor = cipher.decryptor()
+        self._cipher = Cipher(algorithms.AES(self.key), modes.ECB())
+        self._encryptor = self._cipher.encryptor()
+        self._decryptor = None
         self._lock = threading.Lock()
 
     def encrypt_block(self, block: bytes) -> bytes:
@@ -83,6 +87,8 @@ class AesCipher(BlockCipher):
     def decrypt_block(self, block: bytes) -> bytes:
         _check_block(block)
         with self._lock:
+            if self._decryptor is None:
+                self._decryptor = self._cipher.decryptor()
             return self._decryptor.update(block)
 
     def encrypt_blocks(self, data: bytes) -> bytes:

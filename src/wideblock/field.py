@@ -164,15 +164,25 @@ def _key_table(h: FieldElement) -> tuple:
 
     Entry j is the pair of rows for byte j of a little-endian operand: its
     low nibble n maps to n*h*x^(8j), its high nibble to n*h*x^(8j+4).
+
+    Each row is written out from a, a*x, a*x^2 and a*x^3 and their XORs,
+    with the shifts by x inlined: under half the cost of 32 ``_row`` calls.
     """
     try:
         return h._mul_table
     except AttributeError:
         rows = []
-        v = h.value
+        a = h.value
         for _ in range(32):
-            row, v = _row(v)
-            rows.append(tuple(row))
+            b = (a << 1) ^ REDUCTION_POLY if a >> 127 else a << 1
+            c = (b << 1) ^ REDUCTION_POLY if b >> 127 else b << 1
+            d = (c << 1) ^ REDUCTION_POLY if c >> 127 else c << 1
+            ab, ac, bc = a ^ b, a ^ c, b ^ c
+            abc = ab ^ c
+            rows.append(
+                (0, a, b, ab, c, ac, bc, abc, d, a ^ d, b ^ d, ab ^ d, c ^ d, ac ^ d, bc ^ d, abc ^ d)
+            )
+            a = (d << 1) ^ REDUCTION_POLY if d >> 127 else d << 1
         table = tuple(zip(rows[0::2], rows[1::2]))
         object.__setattr__(h, "_mul_table", table)
         return table

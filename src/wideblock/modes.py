@@ -16,23 +16,24 @@ from U xor V, output V xor H'.  Each body serves both directions: XCB
 decrypts with Ke and Kd swapped and the two hashes in the other order, HCTR
 with pi = D in place of E.  ``MODES`` maps each mode name to its key
 derivation and its cipher call.
+
+``BitString`` appears only at the edge.  A body reads the payload's and the
+tweak's bytes and bit lengths, holds the special block, the hash values and
+the counter seed as 128-bit ints, hashes through ``polyhash``'s private
+bytes-level entry points, runs the counter through ``ctr._ctr``, and builds
+its result with one ``BitString._of``.  Only a v2 payload whose length is
+not a whole number of bytes needs a bit shift to split, and only a rest or
+tweak of that kind needs one to join (``polyhash._cat``).
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
-from . import ctr
+from . import ctr, polyhash
 from .blockcipher import AesCipher, BadKeyLength, BlockCipher
-from .field import FieldElement
-from .polyhash import (
-    BitString,
-    field_to_block,
-    hctr_hash,
-    hctr_hash_fixed,
-    xcb_hash,
-    xcb_length_block,
-)
+from .field import _MASK128, _ZERO_BLOCK, FieldElement
+from .polyhash import BitString, _cat, _mask_tail
 
 CipherFactory = Callable[[bytes], BlockCipher]
 
@@ -195,43 +196,30 @@ def _check_bounds(tweak: BitString, payload: BitString) -> None:
         raise LengthBounds(f"tweak must be at most 2^39 bits, got {tweak.bitlen}")
 
 
-def _pad_to_blocks(x: BitString) -> BitString:
-    if x.bitlen % BLOCK_BITS == 0:
-        return x
-    return x + BitString.zeros(BLOCK_BITS - x.bitlen % BLOCK_BITS)
-
-
 def _require_scheme(keys: TesKeySet, scheme: str) -> None:
     if keys.scheme != scheme:
         raise ValueError(f"key set is for {keys.scheme!r}, expected {scheme!r}")
 
 
-def _split(data: BitString, special_last: bool) -> tuple[BitString, BitString]:
-    """The special block and the rest of the payload."""
-    n = data.bitlen - BLOCK_BITS
-    if special_last:
-        return data.lsb(BLOCK_BITS), data.msb(n)
-    return data.msb(BLOCK_BITS), data.lsb(n)
+def _xcb_hash(variant: XcbVariant, keys: TesKeySet, t: bytes, t_bits: int, data: bytes,
+              data_bits: int, first: bool) -> int:
+    """The first or the second hash value of an XCB variant over data.
 
-
-def _xcb_hash(variant: XcbVariant, keys: TesKeySet, tweak: BitString, blocks: BitString,
-              first: bool) -> BitString:
-    """The first or the second hash block of an XCB variant over blocks.
-
-    v1 hashes (blocks, tweak) under h1 first and under h2 second.  v2 uses
-    its one key twice: the first hash takes (0^128 || tweak) against the
-    padded blocks followed by 0^128; the second takes (tweak || 0^128)
-    against the padded blocks followed by an explicit length block, with the
-    hash's own length term suppressed since the assembled argument already
-    carries it.
+    v1 hashes (data, tweak) under h1 first and under h2 second.  v2 uses its
+    one key twice.  The first hash takes (0^128 || tweak) against the
+    padded data followed by 0^128.  The second takes (tweak || 0^128)
+    against the padded data and an explicit block of the two unpadded
+    lengths: that is the plain hash of (tweak || 0^128, data), whose own
+    length block is that block.  Zero bits after a tweak are zero bytes
+    after its bytes, so no argument needs a shift.
     """
     if variant.version == "v1":
-        return field_to_block(xcb_hash(keys.h1 if first else keys.h2, blocks, tweak))
+        return polyhash._xcb_hash(keys.h1 if first else keys.h2, data, data_bits, t, t_bits)
     if first:
-        return field_to_block(xcb_hash(keys.h, BLOCK + tweak, _pad_to_blocks(blocks) + BLOCK))
-    lb = xcb_length_block(tweak.bitlen + BLOCK_BITS, blocks.bitlen)
-    arg = _pad_to_blocks(blocks) + lb
-    return field_to_block(xcb_hash(keys.h, tweak + BLOCK, arg, include_length=False))
+        padded = data + bytes(-len(data) % 16 + 16)
+        return polyhash._xcb_hash(keys.h, _ZERO_BLOCK + t, BLOCK_BITS + t_bits, padded,
+                                  8 * len(padded))
+    return polyhash._xcb_hash(keys.h, t + _ZERO_BLOCK, t_bits + BLOCK_BITS, data, data_bits)
 
 
 def _xcb(variant: XcbVariant, keys: TesKeySet, tweak: BitString, payload: BitString,
@@ -242,19 +230,33 @@ def _xcb(variant: XcbVariant, keys: TesKeySet, tweak: BitString, payload: BitStr
     first hash with the second."""
     _require_scheme(keys, "xcb" + variant.version)
     _check_bounds(tweak, payload)
-    if variant.version == "v2" and payload.bitlen % BLOCK_BITS and not allow_partial:
+    n = payload.bitlen
+    if variant.version == "v2" and n % BLOCK_BITS and not allow_partial:
         raise PartialBlockRejected(
             "this variant is insecure for payloads that are not a multiple of "
             "128 bits; pass the explicit insecure-mode flag to force it"
         )
     e, d = (keys.ke, keys.kd) if forward else (keys.kd, keys.ke)
-    x, rest = _split(payload, variant.special_last)
-    s = BitString._of(e.encrypt_block(x.data), BLOCK_BITS)
-    s ^= _xcb_hash(variant, keys, tweak, rest, forward)
-    out = variant.counter(keys.kc, s, rest) if rest.bitlen else rest
-    h_out = _xcb_hash(variant, keys, tweak, out, not forward)
-    y = BitString._of(d.decrypt_block((s ^ h_out).data), BLOCK_BITS)
-    return out + y if variant.special_last else y + out
+    t, t_bits = tweak.data, tweak.bitlen
+    data, rest_bits = payload.data, n - BLOCK_BITS
+    if not variant.special_last:
+        x, rest = data[:16], data[16:]
+    elif n % 8:
+        x = ((int.from_bytes(data[-17:], "big") >> (-n % 8)) & _MASK128).to_bytes(16, "big")
+        rest = _mask_tail(data[: (rest_bits + 7) // 8], rest_bits)
+    else:
+        x, rest = data[-16:], data[:-16]
+    s = int.from_bytes(e.encrypt_block(x), "big")
+    s ^= _xcb_hash(variant, keys, t, t_bits, rest, rest_bits, forward)
+    if rest_bits:
+        out = ctr._ctr(keys.kc, s, rest, rest_bits, variant.counter_family == "inc32")
+    else:
+        out = rest
+    s ^= _xcb_hash(variant, keys, t, t_bits, out, rest_bits, not forward)
+    y = d.decrypt_block(s.to_bytes(16, "big"))
+    if variant.special_last:
+        return BitString._of(_cat(out, rest_bits, y, BLOCK_BITS), n)
+    return BitString._of(y + out, n)
 
 
 def xcb_encrypt(
@@ -284,13 +286,17 @@ def _hctr(keys: TesKeySet, tweak: BitString, payload: BitString, fixed_hash: boo
     y = V xor H(out || T), with pi = E to encrypt and D to decrypt."""
     _require_scheme(keys, "hctr")
     _check_bounds(tweak, payload)
-    hash_fn = hctr_hash_fixed if fixed_hash else hctr_hash
+    hash_fn = polyhash._hctr_hash_fixed if fixed_hash else polyhash._hctr_hash
     pi = keys.k.encrypt_block if forward else keys.k.decrypt_block
-    x, rest = _split(payload, False)
-    u = x ^ field_to_block(hash_fn(keys.h, rest + tweak))
-    v = BitString._of(pi(u.data), BLOCK_BITS)
-    out = ctr.xor_ctr(keys.k, u ^ v, rest) if rest.bitlen else rest
-    return (v ^ field_to_block(hash_fn(keys.h, out + tweak))) + out
+    t, t_bits = tweak.data, tweak.bitlen
+    data, n = payload.data, payload.bitlen
+    rest, rest_bits = data[16:], n - BLOCK_BITS
+    u = int.from_bytes(data[:16], "big")
+    u ^= hash_fn(keys.h, _cat(rest, rest_bits, t, t_bits), rest_bits + t_bits)
+    v = int.from_bytes(pi(u.to_bytes(16, "big")), "big")
+    out = ctr._ctr(keys.k, u ^ v, rest, rest_bits, False) if rest_bits else rest
+    v ^= hash_fn(keys.h, _cat(out, rest_bits, t, t_bits), rest_bits + t_bits)
+    return BitString._of(v.to_bytes(16, "big") + out, n)
 
 
 def hctr_encrypt(

@@ -17,12 +17,20 @@ table from there on, whose larger build pays off only over long inputs.
 Lookups in either table are key-dependent memory accesses: the hash is not
 constant time.
 
+Each hash has a private entry point on bytes and bit lengths
+(``_xcb_hash``, ``_hctr_hash``, ``_hctr_hash_fixed``) that returns the
+hash value as an int; the public functions are thin wrappers that take
+``BitString`` arguments and return a ``FieldElement``.  The modes call the
+private entry points, so they hold plain ints and bytes inside and make one
+``BitString`` per result.  ``_cat`` joins two bit strings' bytes at any bit
+offset: a plain join on a byte boundary, one shift otherwise.
+
 The public ``BitString`` constructor converts its data to ``bytes`` and
 checks the length and the zero tail.  Results that meet both by
 construction (concatenation, XOR, ``msb``/``lsb``, ``from_int``,
-``parse_n``, ``field_to_block``, and the cipher and keystream outputs in
-``modes`` and ``ctr``) are built by the private ``BitString._of``, which
-sets the two slots without either.
+``parse_n``, ``field_to_block``, the outputs of ``ctr.xcb_ctr`` and
+``ctr.xor_ctr``, and each mode's output in ``modes``) are built by the
+private ``BitString._of``, which sets the two slots without either.
 """
 
 from __future__ import annotations
@@ -49,6 +57,20 @@ def _mask_tail(data: bytes, bitlen: int) -> bytes:
     out = bytearray(data)
     out[-1] &= (0xFF << (8 - keep)) & 0xFF
     return bytes(out)
+
+
+def _cat(a: bytes, abits: int, b: bytes, bbits: int) -> bytes:
+    """The bytes of the bit string a || b, with a and b laid out as in a
+    ``BitString`` (left-aligned, zero tail).
+
+    A join when a ends on a byte boundary; otherwise b is shifted into a's
+    zero tail in one int, and the bytes that only held tails are cut off.
+    """
+    shift = -abits % 8
+    if not shift or not b:
+        return a + b
+    joined = (int.from_bytes(a, "big") << (8 * len(b))) | (int.from_bytes(b, "big") << shift)
+    return joined.to_bytes(len(a) + len(b), "big")[: (abits + bbits + 7) // 8]
 
 
 class BitString:
@@ -127,10 +149,8 @@ class BitString:
 
     def __add__(self, other: "BitString") -> "BitString":
         """Concatenation."""
-        if self.bitlen % 8 == 0:
-            return BitString._of(self.data + other.data, self.bitlen + other.bitlen)
         total = self.bitlen + other.bitlen
-        return BitString.from_int((self.to_int() << other.bitlen) | other.to_int(), total)
+        return BitString._of(_cat(self.data, self.bitlen, other.data, other.bitlen), total)
 
     def __xor__(self, other: "BitString") -> "BitString":
         """One int XOR; both zero tails stay zero."""
@@ -185,6 +205,12 @@ def xcb_length_block(x_bits: int, t_bits: int) -> BitString:
     return BitString.from_int(x_bits, 64) + BitString.from_int(t_bits, 64)
 
 
+def _xcb_hash(h: FieldElement, x: bytes, x_bits: int, t: bytes, t_bits: int) -> int:
+    """``xcb_hash`` with its length block, on the bytes and bit lengths of
+    both arguments."""
+    return field._hash(h, x, t, ((x_bits << 64) | t_bits).to_bytes(16, "big"))
+
+
 def xcb_hash(
     h: FieldElement,
     x: BitString,
@@ -199,19 +225,29 @@ def xcb_hash(
     term group vanishes; the length block is appended regardless.
 
     include_length=False drops the automatic length block for callers that
-    assemble an explicit one inside t (the second hash of two-argument XCB
-    variants with a single hash key does this).
+    assemble an explicit one inside t.
     """
-    length = xcb_length_block(x.bitlen, t.bitlen).data if include_length else b""
-    return FieldElement(field._hash(h, x.data, t.data, length))
+    if include_length:
+        return FieldElement(_xcb_hash(h, x.data, x.bitlen, t.data, t.bitlen))
+    return FieldElement(field._hash(h, x.data, t.data))
+
+
+def _hctr_hash(h: FieldElement, p: bytes, p_bits: int) -> int:
+    """``hctr_hash`` on the bytes and bit length of p."""
+    if p_bits == 0:
+        return h.value
+    return field._hash(h, p, p_bits.to_bytes(16, "big"))
+
+
+def _hctr_hash_fixed(h: FieldElement, p: bytes, p_bits: int) -> int:
+    """``hctr_hash_fixed`` on the bytes and bit length of p."""
+    return _hctr_hash(h, _cat(p, p_bits, b"\x80", 1), p_bits + 1)
 
 
 def hctr_hash(h: FieldElement, p: BitString) -> FieldElement:
     """HCTR polynomial hash: the bare key for the empty string, otherwise
     blocks at powers m+1..2 with the bit length at power one."""
-    if p.bitlen == 0:
-        return h
-    return FieldElement(field._hash(h, p.data, p.bitlen.to_bytes(16, "big")))
+    return FieldElement(_hctr_hash(h, p.data, p.bitlen))
 
 
 def hctr_hash_fixed(h: FieldElement, p: BitString) -> FieldElement:
@@ -221,4 +257,4 @@ def hctr_hash_fixed(h: FieldElement, p: BitString) -> FieldElement:
     between the empty string and a single 0 bit, whose images both equal the
     bare key under the original definition.
     """
-    return hctr_hash(h, p + BitString.from_int(1, 1))
+    return FieldElement(_hctr_hash_fixed(h, p.data, p.bitlen))

@@ -9,19 +9,34 @@ These deliberately avoid the production code paths:
   replaced, kept as its reference;
 * the hash oracles read blocks off the payload's integer value and evaluate
   explicit powers of the key instead of Horner's rule;
-* ``xor``, ``lsb`` and ``parse_n`` are the original per-byte and big-int
-  ``BitString`` code that the slicing and int-XOR paths replaced;
+* ``xor``, ``lsb``, ``parse_n`` and ``concat`` are the original per-byte
+  and big-int ``BitString`` code that the slicing, int-XOR and byte-shift
+  paths replaced;
 * ``inc`` is the block-at-a-time 32-bit counter increment that the
   counter layers in ``wideblock.ctr`` replaced with integer arithmetic
   over all counters at once;
 * ``carry_class_offsets`` is the original full-depth carry-chain search
-  for Y_r that the closed form of W_r in ``wideblock.analysis`` replaced.
+  for Y_r that the closed form of W_r in ``wideblock.analysis`` replaced;
+* ``key_table`` builds a hash key's 4-bit table from ``field._row``, the
+  loop that the written-out rows of ``field._key_table`` replaced;
+* ``xcb_crypt`` and ``hctr_crypt`` are the ``BitString``-level mode bodies
+  (split, pad and concatenate bit strings, hash through the public hash
+  functions, counter through the public counter functions) that the
+  bytes-and-int bodies in ``wideblock.modes`` replaced.
 """
 
-from wideblock import field
+from wideblock import ctr, field
 from wideblock.blockcipher import BadBlockLength
 from wideblock.field import FieldElement
-from wideblock.polyhash import BitString, _mask_tail
+from wideblock.polyhash import (
+    BitString,
+    _mask_tail,
+    field_to_block,
+    hctr_hash,
+    hctr_hash_fixed,
+    xcb_hash,
+    xcb_length_block,
+)
 
 # x^128 + x^7 + x^2 + x + 1 with explicit degree-128 bit
 _MODULUS = (1 << 128) | 0x87
@@ -100,6 +115,16 @@ def order_divisor(h: FieldElement, max_order: int) -> int | None:
     return None
 
 
+def key_table(h: FieldElement) -> tuple:
+    """h's 4-bit table (the layout of ``field._key_table``) from ``field._row``."""
+    rows = []
+    v = h.value
+    for _ in range(32):
+        row, v = field._row(v)
+        rows.append(tuple(row))
+    return tuple(zip(rows[0::2], rows[1::2]))
+
+
 # ---------------------------------------------------------------------------
 # Hash oracles
 
@@ -164,12 +189,74 @@ def parse_n(x: BitString) -> list[BitString]:
     return blocks
 
 
+def concat(a: BitString, b: BitString) -> BitString:
+    return BitString.from_int((a.to_int() << b.bitlen) | b.to_int(), a.bitlen + b.bitlen)
+
+
 def inc(x: BitString) -> BitString:
     """Increment the low 32 bits of a 128-bit block modulo 2^32."""
     if x.bitlen != 128:
         raise BadBlockLength("inc operates on full 128-bit blocks")
     low = (int.from_bytes(x.data[12:], "big") + 1) & 0xFFFFFFFF
     return BitString(x.data[:12] + low.to_bytes(4, "big"), 128)
+
+
+# ---------------------------------------------------------------------------
+# The BitString-level mode bodies, without the scheme, bounds and v2
+# partial-block checks, joining bit strings with ``concat``
+
+
+_BLOCK = BitString.zeros(128)
+
+
+def _pad_to_blocks(x: BitString) -> BitString:
+    if x.bitlen % 128 == 0:
+        return x
+    return concat(x, BitString.zeros(128 - x.bitlen % 128))
+
+
+def _split(data: BitString, special_last: bool) -> tuple[BitString, BitString]:
+    """The special block and the rest of the payload."""
+    n = data.bitlen - 128
+    if special_last:
+        return data.lsb(128), data.msb(n)
+    return data.msb(128), data.lsb(n)
+
+
+def _xcb_hash(variant, keys, tweak: BitString, blocks: BitString, first: bool) -> BitString:
+    if variant.version == "v1":
+        return field_to_block(xcb_hash(keys.h1 if first else keys.h2, blocks, tweak))
+    if first:
+        x = concat(_BLOCK, tweak)
+        return field_to_block(xcb_hash(keys.h, x, concat(_pad_to_blocks(blocks), _BLOCK)))
+    lb = xcb_length_block(tweak.bitlen + 128, blocks.bitlen)
+    arg = concat(_pad_to_blocks(blocks), lb)
+    return field_to_block(xcb_hash(keys.h, concat(tweak, _BLOCK), arg, include_length=False))
+
+
+def xcb_crypt(variant, keys, tweak: BitString, payload: BitString, forward: bool) -> BitString:
+    """S = E(x) xor H(rest), the counter from S over the rest, then
+    y = D(S xor H'(out)); decryption swaps Ke with Kd and the two hashes."""
+    e, d = (keys.ke, keys.kd) if forward else (keys.kd, keys.ke)
+    x, rest = _split(payload, variant.special_last)
+    s = BitString(e.encrypt_block(x.data)) ^ _xcb_hash(variant, keys, tweak, rest, forward)
+    out = variant.counter(keys.kc, s, rest) if rest.bitlen else rest
+    h_out = _xcb_hash(variant, keys, tweak, out, not forward)
+    y = BitString(d.decrypt_block((s ^ h_out).data))
+    return concat(out, y) if variant.special_last else concat(y, out)
+
+
+def hctr_crypt(keys, tweak: BitString, payload: BitString, fixed_hash: bool,
+               forward: bool) -> BitString:
+    """U = x xor H(rest || T), V = pi(U), the counter from U xor V over the
+    rest, then y = V xor H(out || T), with pi = E or D."""
+    hash_fn = hctr_hash_fixed if fixed_hash else hctr_hash
+    pi = keys.k.encrypt_block if forward else keys.k.decrypt_block
+    x, rest = _split(payload, False)
+    u = x ^ field_to_block(hash_fn(keys.h, concat(rest, tweak)))
+    v = BitString(pi(u.data))
+    out = ctr.xor_ctr(keys.k, u ^ v, rest) if rest.bitlen else rest
+    return concat(v ^ field_to_block(hash_fn(keys.h, concat(out, tweak))), out)
 
 
 def carry_class_offsets(width: int, r: int) -> frozenset[int]:

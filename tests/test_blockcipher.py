@@ -1,5 +1,6 @@
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -138,3 +139,32 @@ def test_aes_is_safe_under_concurrent_calls():
                 future.result(timeout=60)
     finally:
         sys.setswitchinterval(old)
+
+
+def test_aes_first_decrypt_races_from_four_threads():
+    """An instance builds its decryptor on the first ``decrypt_block``.  On
+    each of 40 fresh instances, four threads make that first call at once;
+    every result must match a context built fresh for the call."""
+    keys = [rng.randbytes(16) for _ in range(40)]
+    shared = [AesCipher(key) for key in keys]
+    assert all(cipher._decryptor is None for cipher in shared)
+    start = threading.Barrier(4)
+
+    def worker(seed: int) -> None:
+        wrng = random.Random(seed)
+        for key, cipher in zip(keys, shared):
+            block = wrng.randbytes(16)
+            ctx = Cipher(algorithms.AES(key), modes.ECB()).decryptor()
+            expect = ctx.update(block) + ctx.finalize()
+            start.wait(timeout=60)
+            assert cipher.decrypt_block(block) == expect
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for future in [pool.submit(worker, seed) for seed in range(4)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert all(cipher._decryptor is not None for cipher in shared)

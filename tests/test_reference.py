@@ -1,10 +1,12 @@
 """Every fast path against the slow reference it replaced (``gfref``).
 
-Field: the 4-bit and 8-bit table kernels, generic ``mul``, ``square``,
-``pow``, ``inv``, ``sqrt`` and ``order_divisor``.  Hashes: all three at
-lengths 0-600 bits, at 127, 128 and 129 hashed blocks (either side of the
-8-bit table threshold) and at 2-8 KiB, partial blocks included.
-``BitString``: XOR, ``lsb`` and ``parse_n`` at lengths 1-600.  Counter
+Field: the 4-bit table build, the 4-bit and 8-bit table kernels, generic
+``mul``, ``square``, ``pow``, ``inv``, ``sqrt`` and ``order_divisor``.
+Hashes: all three at lengths 0-600 bits, at 127, 128 and 129 hashed blocks
+(either side of the 8-bit table threshold) and at 2-8 KiB, partial blocks
+included.  ``BitString``: XOR, ``lsb``, ``parse_n`` and concatenation at
+lengths 0-600.  Modes: all six in both directions against the
+``BitString``-level bodies, at bit-granular payloads and tweaks.  Counter
 offsets: the closed-form ``W_r`` sets and counts against exhaustive
 enumeration at widths 1-12 and against the full-depth carry-chain search up
 to width 64, and that search against brute force.
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfref
-from wideblock import analysis, field
+from wideblock import analysis, field, modes
 from wideblock.field import FieldElement
 from wideblock.polyhash import BitString, hctr_hash, hctr_hash_fixed, parse_n, xcb_hash
 
@@ -51,6 +53,17 @@ def test_table_kernel(a, h):
     expect = gfref.mul(a, h)
     assert expect == gfref.mul_oracle(a, h)
     assert field._times(a.value, field._key_table(h)) == expect.value
+
+
+@pytest.mark.parametrize("value", [0, 1, 1 << 127])
+def test_key_table_edge_keys(value):
+    assert field._key_table(FieldElement(value)) == gfref.key_table(FieldElement(value))
+
+
+@settings(max_examples=50, deadline=None)
+@given(elements)
+def test_key_table(h):
+    assert field._key_table(h) == gfref.key_table(h)
 
 
 @settings(max_examples=30, deadline=None)
@@ -217,6 +230,44 @@ def test_lsb(x, data):
 @given(bit_strings(min_bits=1))
 def test_parse_n(x):
     assert parse_n(x) == gfref.parse_n(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_strings(), bit_strings())
+def test_concat(a, b):
+    assert a + b == gfref.concat(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Modes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(modes.MODES)),
+    st.binary(min_size=32, max_size=32),
+    bit_strings(min_bits=128, max_bits=1500),
+    bit_strings(max_bits=300),
+    st.booleans(),
+)
+def test_modes_against_the_bitstring_bodies(name, master, payload, tweak, allow_partial):
+    """Each mode's encryption and decryption of the payload equal the
+    reference bodies'; the v2 variants refuse a partial payload unless
+    allowed, as before."""
+    mode = modes.MODES[name]
+    variant = mode.variant
+    keys = mode.derive(master[:16] if variant and variant.version == "v1" else master)
+    if variant and variant.version == "v2" and payload.bitlen % 128 and not allow_partial:
+        for encrypt in (True, False):
+            with pytest.raises(modes.PartialBlockRejected):
+                mode.crypt(keys, tweak, payload, encrypt, allow_partial)
+        return
+    for encrypt in (True, False):
+        if variant is None:
+            expect = gfref.hctr_crypt(keys, tweak, payload, mode.fixed_hash, encrypt)
+        else:
+            expect = gfref.xcb_crypt(variant, keys, tweak, payload, encrypt)
+        assert mode.crypt(keys, tweak, payload, encrypt, allow_partial) == expect
 
 
 # ---------------------------------------------------------------------------
