@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .field import GROUP_ORDER_FACTORS
 
@@ -75,8 +74,7 @@ def w_set(width: int, r: int) -> frozenset[int]:
     return frozenset((2 << k) - r for k in range((r - 1).bit_length(), width))
 
 
-@dataclass(frozen=True)
-class IncSetTable:
+class IncSetTable(NamedTuple):
     """Exhaustively computed offset sets for r = 0..r_max."""
 
     width: int
@@ -118,8 +116,7 @@ def inc_set_counts(width: int, r_max: int) -> list[int]:
     return [max(width - (r - 1).bit_length(), 0) if r else 1 for r in range(r_max + 1)]
 
 
-@dataclass(frozen=True)
-class WideCounterSample:
+class WideCounterSample(NamedTuple):
     """W_r cardinalities at the full 32-bit counter width."""
 
     width: int
@@ -157,21 +154,34 @@ def sample_w32(
 # Security-bound evaluation
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Adversary resources: query count q, max blocks per query ell, total
-    query complexity sigma (blocks, tweak included), block bits n."""
-
+class _BoundFields(NamedTuple):
     q: int
     ell: int
     sigma: int
     n: int = 128
 
-    def __post_init__(self):
-        if self.q < 1 or self.ell < 1:
+
+class BoundParams(_BoundFields):
+    """Adversary resources: query count q, max blocks per query ell, total
+    query complexity sigma (blocks, tweak included), block bits n.
+
+    The checks live in ``__new__`` of this subclass because a ``NamedTuple``
+    body may not define one; ``_make`` goes through it, so ``_replace``
+    checks too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, ell: int, sigma: int, n: int = 128):
+        if q < 1 or ell < 1:
             raise ValueError("q and ell must be at least 1")
-        if self.sigma < self.q:
+        if sigma < q:
             raise ValueError("sigma counts blocks across queries, so sigma >= q")
+        return super().__new__(cls, q, ell, sigma, n)
+
+    @classmethod
+    def _make(cls, iterable) -> BoundParams:
+        return cls(*iterable)
 
 
 #: Default resource point: 2^42 bytes of data split into 2^30 queries of one
@@ -273,8 +283,7 @@ TABLE_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     scheme: str
     formula: str
     advantage: Fraction
@@ -300,8 +309,7 @@ def eval_bound(scheme: str, params: BoundParams) -> BoundResult:
     )
 
 
-@dataclass(frozen=True)
-class BoundTable:
+class BoundTable(NamedTuple):
     params: BoundParams
     rows: tuple[BoundResult, ...]
     note: str

@@ -25,9 +25,8 @@ Implemented attacks:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import field, modes
 from .blockcipher import BlockCipher
@@ -61,8 +60,7 @@ class IndexOutOfSpan(ValueError):
     """Raised when a forgery names blocks outside the counter-covered span."""
 
 
-@dataclass
-class AttackReport:
+class AttackReport(NamedTuple):
     """Structured outcome of one attack run."""
 
     attack_name: str
@@ -72,7 +70,7 @@ class AttackReport:
     recovered_material: Optional[FieldElement] = None
     recovered_order: Optional[int] = None
     seed: Optional[int] = None
-    transcript: list[tuple[str, str]] = dc_field(default_factory=list)
+    transcript: tuple[tuple[str, str], ...] = ()
 
     def serialize(self) -> str:
         """Line-oriented key/value form with a stable field order."""
@@ -170,7 +168,7 @@ def hctr_distinguish(oracle: EncryptionOracle, trials: int, seed: int) -> Attack
         successes=successes,
         advantage_estimate=Fraction(successes, trials),
         seed=seed,
-        transcript=transcript,
+        transcript=tuple(transcript),
     )
 
 
@@ -217,7 +215,7 @@ def hctr_recover_h(oracle: EncryptionOracle, max_iters: int, seed: int) -> Attac
             advantage_estimate=Fraction(1 if verified else 0),
             recovered_material=h if verified else None,
             seed=seed,
-            transcript=transcript,
+            transcript=tuple(transcript),
         )
     raise IterationBudgetExhausted(
         f"no usable tail bit in {max_iters} attempts (p=1/2 each)"
@@ -306,5 +304,5 @@ def weak_key_scan(h: FieldElement, max_order: int) -> AttackReport:
         successes=1 if order is not None else 0,
         advantage_estimate=Fraction(1 if order is not None else 0),
         recovered_order=order,
-        transcript=[(f"h={h.to_hex()}", f"order={'none' if order is None else order}")],
+        transcript=((f"h={h.to_hex()}", f"order={'none' if order is None else order}"),),
     )

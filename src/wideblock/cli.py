@@ -23,7 +23,7 @@ import sys
 
 # encrypt/decrypt need only the cipher path; the subcommands that use
 # ``analysis`` or ``attacks`` import them when they run, so a file
-# operation never loads those layers or the dataclasses behind them.
+# operation never loads those layers.
 from . import modes
 from .polyhash import BitString
 

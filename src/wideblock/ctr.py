@@ -32,7 +32,9 @@ def _ctr(cipher: BlockCipher, seed: int, data: bytes, bitlen: int, inc32: bool) 
         counters = b"".join((seed ^ i).to_bytes(16, "big") for i in range(1, nblocks + 1))
     n = len(data)
     tail = 8 * n - bitlen
-    ks = int.from_bytes(cipher.encrypt_blocks(counters)[:n], "big") >> tail << tail
+    ks = int.from_bytes(cipher.encrypt_blocks(counters)[:n], "big")
+    if tail:
+        ks = ks >> tail << tail
     return (int.from_bytes(data, "big") ^ ks).to_bytes(n, "big")
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,7 @@ from wideblock.analysis import (
     table1_report,
     w_set,
 )
+from wideblock.attacks import AttackReport
 
 # Frozen by the exhaustive pre-build oracle: the largest number of new XOR
 # offsets any single increment count contributes at width 8 (reached at r=1).
@@ -192,6 +194,44 @@ def test_params_validation():
         BoundParams(q=0, ell=1, sigma=1)
     with pytest.raises(ValueError):
         BoundParams(q=10, ell=1, sigma=5)  # sigma counts blocks >= queries
+
+
+def test_params_replace_runs_the_checks():
+    assert DEFAULT_PARAMS._replace(n=64).n == 64
+    with pytest.raises(ValueError):
+        DEFAULT_PARAMS._replace(q=0)
+    with pytest.raises(ValueError):
+        DEFAULT_PARAMS._replace(sigma=DEFAULT_PARAMS.q - 1)
+
+
+def _bare_report():
+    return AttackReport(attack_name="demo", trials=1, successes=0, advantage_estimate=Fraction(0))
+
+
+@pytest.mark.parametrize("make", [
+    _bare_report,
+    lambda: compute_inc_sets(width=4, r_max=3),
+    lambda: sample_w32(8),
+    lambda: DEFAULT_PARAMS,
+    lambda: eval_bound("hctr", DEFAULT_PARAMS),
+    table1_report,
+], ids=["AttackReport", "IncSetTable", "WideCounterSample", "BoundParams", "BoundResult", "BoundTable"])
+def test_records_are_immutable_tuples(make):
+    record = make()
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert record == tuple(record)
+    assert record._replace() == record
+
+
+def test_report_without_transcript():
+    first, second = _bare_report(), _bare_report()
+    assert not any(line.startswith("transcript[") for line in first.serialize().splitlines())
+    # The default is an immutable empty tuple, so no report can change
+    # another's transcript through it.
+    assert first.transcript == second.transcript == ()
+    assert isinstance(first.transcript, tuple)
 
 
 def test_parse_magnitude():

@@ -92,6 +92,17 @@ def test_encrypt_loads_only_the_cipher_layers(tmp_path):
     assert sorted(set(_NOT_ON_THE_CIPHER_PATH) & (loaded - baseline)) == []
 
 
+def test_attack_and_analysis_layers_load_no_dataclasses():
+    # Their records are NamedTuples: importing every layer must not pull in
+    # dataclasses, or inspect, which dataclasses imports.
+    loaded = _modules_loaded_by("import wideblock.attacks, wideblock.analysis, wideblock.cli")
+    baseline = _modules_loaded_by(
+        "import argparse, random, fractions, cryptography.hazmat.primitives.ciphers"
+    )
+    assert {"wideblock.attacks", "wideblock.analysis"} <= loaded
+    assert sorted({"dataclasses", "inspect"} & (loaded - baseline)) == []
+
+
 def test_v2_partial_file_needs_flag(tmp_path, capsys):
     plain = tmp_path / "plain.bin"
     plain.write_bytes(rng.randbytes(40))  # not a multiple of 16
