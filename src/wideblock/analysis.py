@@ -21,8 +21,8 @@ the sum has the top term's sign: with + it lies in 0 < s < 2^(k+1) and is
 least as 2^(k+1) - d, all lower terms negative; with - it is at least
 2^w - d as a residue.  Hence the least r with d in Y_r is 2^(k+1) - d,
 i.e. d is in W_r exactly when d = 2^(k+1) - r has top bit k, which is
-1 <= r <= 2^k.  Exhaustive enumeration (``compute_inc_sets``, width <= 16)
-is the reference.
+1 <= r <= 2^k.  The exhaustive enumeration that the tests check this
+against is in ``tests/gfref.py``.
 
 The second half evaluates the advantage-bound formulas of the compared
 enciphering schemes at concrete adversary resources, exactly (rational
@@ -39,10 +39,6 @@ from typing import Callable, NamedTuple, Optional
 from .field import GROUP_ORDER_FACTORS
 
 
-class WidthTooLarge(ValueError):
-    """Raised when exhaustive enumeration is requested beyond width 16."""
-
-
 class UnknownWidth(ValueError):
     """Raised for a block width n whose factorization of 2^n - 1 is unknown."""
 
@@ -53,12 +49,6 @@ class UnknownScheme(KeyError):
 
 # ---------------------------------------------------------------------------
 # Increment-offset sets
-
-
-def exhaustive_offsets(width: int, r: int) -> frozenset[int]:
-    """Y_r by brute force over all 2^width counter values."""
-    mask = (1 << width) - 1
-    return frozenset((((y + r) & mask) ^ y) for y in range(1 << width))
 
 
 def _check_range(width: int, r_max: int) -> None:
@@ -72,42 +62,6 @@ def w_set(width: int, r: int) -> frozenset[int]:
     if r == 0:
         return frozenset({0})
     return frozenset((2 << k) - r for k in range((r - 1).bit_length(), width))
-
-
-class IncSetTable(NamedTuple):
-    """Exhaustively computed offset sets for r = 0..r_max."""
-
-    width: int
-    r_max: int
-    y_sets: tuple[frozenset[int], ...]
-    w_sets: tuple[frozenset[int], ...]
-    w_max: int
-
-    @property
-    def w_cardinalities(self) -> tuple[int, ...]:
-        return tuple(len(w) for w in self.w_sets)
-
-
-def compute_inc_sets(width: int, r_max: int) -> IncSetTable:
-    """Exact Y_r and W_r for all r <= r_max by exhaustive enumeration."""
-    if width > 16:
-        raise WidthTooLarge("exhaustive mode is limited to width <= 16")
-    _check_range(width, r_max)
-    y_sets = []
-    w_sets = []
-    seen: set[int] = set()
-    for r in range(r_max + 1):
-        ys = exhaustive_offsets(width, r)
-        y_sets.append(ys)
-        w_sets.append(frozenset(ys - seen))
-        seen |= ys
-    return IncSetTable(
-        width=width,
-        r_max=r_max,
-        y_sets=tuple(y_sets),
-        w_sets=tuple(w_sets),
-        w_max=max(len(w) for w in w_sets),
-    )
 
 
 def inc_set_counts(width: int, r_max: int) -> list[int]:

@@ -74,6 +74,7 @@ class AttackReport(NamedTuple):
 
     def serialize(self) -> str:
         """Line-oriented key/value form with a stable field order."""
+        found = self.recovered_material
         lines = [
             f"attack {self.attack_name}",
             f"seed {self.seed if self.seed is not None else 'none'}",
@@ -81,7 +82,7 @@ class AttackReport(NamedTuple):
             f"successes {self.successes}",
             f"advantage {self.advantage_estimate.numerator}/{self.advantage_estimate.denominator}",
             f"advantage_float {float(self.advantage_estimate):.6f}",
-            f"recovered {self.recovered_material.to_hex() if self.recovered_material else 'none'}",
+            f"recovered {found.to_hex() if found is not None else 'none'}",
             f"order {self.recovered_order if self.recovered_order is not None else 'none'}",
         ]
         for i, (q, r) in enumerate(self.transcript):

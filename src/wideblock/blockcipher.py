@@ -135,10 +135,6 @@ class FeistelCipher(BlockCipher):
             ks.append(_mix64(x))
         self._round_keys = tuple(ks)
 
-    @classmethod
-    def from_seed(cls, seed: int) -> "FeistelCipher":
-        return cls(seed.to_bytes(16, "big"))
-
     def encrypt_block(self, block: bytes) -> bytes:
         _check_block(block)
         left = int.from_bytes(block[:8], "big")

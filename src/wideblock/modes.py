@@ -41,7 +41,6 @@ CipherFactory = Callable[[bytes], BlockCipher]
 MAX_BITS = 1 << 39
 
 BLOCK_BITS = 128
-BLOCK = BitString.zeros(BLOCK_BITS)
 
 
 class LengthBounds(ValueError):
@@ -75,11 +74,6 @@ class XcbVariant(NamedTuple):
         m-block payload: all but the special block."""
         start = 1 if self.special_last else 2
         return range(start, start + m - 1)
-
-    def counter(self, cipher: BlockCipher, s: BitString, data: BitString) -> BitString:
-        if self.counter_family == "inc32":
-            return ctr.xcb_ctr(cipher, s, data)
-        return ctr.xor_ctr(cipher, s, data)
 
 
 XCBV1 = XcbVariant("v1", "inc32")

@@ -200,36 +200,21 @@ def field_to_block(element: FieldElement) -> BitString:
     return BitString._of(element.to_bytes(), BLOCK_BITS)
 
 
-def xcb_length_block(x_bits: int, t_bits: int) -> BitString:
-    """64-bit big-endian bit counts of both arguments, concatenated."""
-    return BitString.from_int(x_bits, 64) + BitString.from_int(t_bits, 64)
-
-
 def _xcb_hash(h: FieldElement, x: bytes, x_bits: int, t: bytes, t_bits: int) -> int:
     """``xcb_hash`` with its length block, on the bytes and bit lengths of
     both arguments."""
     return field._hash(h, x, t, ((x_bits << 64) | t_bits).to_bytes(16, "big"))
 
 
-def xcb_hash(
-    h: FieldElement,
-    x: BitString,
-    t: BitString,
-    include_length: bool = True,
-) -> FieldElement:
+def xcb_hash(h: FieldElement, x: BitString, t: BitString) -> FieldElement:
     """Two-argument polynomial hash used by the XCB modes.
 
     Horner evaluation over the block sequence (x blocks, then t blocks,
     then the length block), so x_1 lands at power m+p+1 and the length
     block at power one.  Either argument may be empty, in which case its
     term group vanishes; the length block is appended regardless.
-
-    include_length=False drops the automatic length block for callers that
-    assemble an explicit one inside t.
     """
-    if include_length:
-        return FieldElement(_xcb_hash(h, x.data, x.bitlen, t.data, t.bitlen))
-    return FieldElement(field._hash(h, x.data, t.data))
+    return FieldElement(_xcb_hash(h, x.data, x.bitlen, t.data, t.bitlen))
 
 
 def _hctr_hash(h: FieldElement, p: bytes, p_bits: int) -> int:

@@ -17,13 +17,20 @@ These deliberately avoid the production code paths:
   over all counters at once;
 * ``carry_class_offsets`` is the original full-depth carry-chain search
   for Y_r that the closed form of W_r in ``wideblock.analysis`` replaced;
+* ``exhaustive_offsets`` and ``compute_inc_sets`` (with its record
+  ``IncSetTable`` and its ``WidthTooLarge`` error) are the brute-force
+  enumeration of Y_r and W_r over every counter value, the reference for
+  that closed form and for the carry-chain search;
 * ``key_table`` builds a hash key's 4-bit table from ``field._row``, the
   loop that the written-out rows of ``field._key_table`` replaced;
 * ``xcb_crypt`` and ``hctr_crypt`` are the ``BitString``-level mode bodies
   (split, pad and concatenate bit strings, hash through the public hash
   functions, counter through the public counter functions) that the
-  bytes-and-int bodies in ``wideblock.modes`` replaced.
+  bytes-and-int bodies in ``wideblock.modes`` replaced; the v2 second
+  hash, whose length block is explicit, runs through ``xcb_hash_oracle``.
 """
+
+from typing import NamedTuple
 
 from wideblock import ctr, field
 from wideblock.blockcipher import BadBlockLength
@@ -35,7 +42,6 @@ from wideblock.polyhash import (
     hctr_hash,
     hctr_hash_fixed,
     xcb_hash,
-    xcb_length_block,
 )
 
 # x^128 + x^7 + x^2 + x + 1 with explicit degree-128 bit
@@ -229,9 +235,9 @@ def _xcb_hash(variant, keys, tweak: BitString, blocks: BitString, first: bool) -
     if first:
         x = concat(_BLOCK, tweak)
         return field_to_block(xcb_hash(keys.h, x, concat(_pad_to_blocks(blocks), _BLOCK)))
-    lb = xcb_length_block(tweak.bitlen + 128, blocks.bitlen)
+    lb = BitString.from_int((tweak.bitlen + 128) << 64 | blocks.bitlen, 128)
     arg = concat(_pad_to_blocks(blocks), lb)
-    return field_to_block(xcb_hash(keys.h, concat(tweak, _BLOCK), arg, include_length=False))
+    return field_to_block(xcb_hash_oracle(keys.h, concat(tweak, _BLOCK), arg, include_length=False))
 
 
 def xcb_crypt(variant, keys, tweak: BitString, payload: BitString, forward: bool) -> BitString:
@@ -240,7 +246,8 @@ def xcb_crypt(variant, keys, tweak: BitString, payload: BitString, forward: bool
     e, d = (keys.ke, keys.kd) if forward else (keys.kd, keys.ke)
     x, rest = _split(payload, variant.special_last)
     s = BitString(e.encrypt_block(x.data)) ^ _xcb_hash(variant, keys, tweak, rest, forward)
-    out = variant.counter(keys.kc, s, rest) if rest.bitlen else rest
+    counter = ctr.xcb_ctr if variant.counter_family == "inc32" else ctr.xor_ctr
+    out = counter(keys.kc, s, rest) if rest.bitlen else rest
     h_out = _xcb_hash(variant, keys, tweak, out, not forward)
     y = BitString(d.decrypt_block((s ^ h_out).data))
     return concat(out, y) if variant.special_last else concat(y, out)
@@ -281,6 +288,53 @@ def carry_class_offsets(width: int, r: int) -> frozenset[int]:
             if nxt < width:
                 stack.append((nxt, carry | (1 << nxt)))
     return frozenset(out)
+
+
+def exhaustive_offsets(width: int, r: int) -> frozenset[int]:
+    """Y_r by brute force over all 2^width counter values."""
+    mask = (1 << width) - 1
+    return frozenset((((y + r) & mask) ^ y) for y in range(1 << width))
+
+
+class WidthTooLarge(ValueError):
+    """Raised when exhaustive enumeration is requested beyond width 16."""
+
+
+class IncSetTable(NamedTuple):
+    """Exhaustively computed offset sets for r = 0..r_max."""
+
+    width: int
+    r_max: int
+    y_sets: tuple[frozenset[int], ...]
+    w_sets: tuple[frozenset[int], ...]
+    w_max: int
+
+    @property
+    def w_cardinalities(self) -> tuple[int, ...]:
+        return tuple(len(w) for w in self.w_sets)
+
+
+def compute_inc_sets(width: int, r_max: int) -> IncSetTable:
+    """Exact Y_r and W_r for all r <= r_max by exhaustive enumeration."""
+    if width > 16:
+        raise WidthTooLarge("exhaustive mode is limited to width <= 16")
+    if width < 1 or r_max < 0:
+        raise ValueError("width must be >= 1 and r_max >= 0")
+    y_sets = []
+    w_sets = []
+    seen: set[int] = set()
+    for r in range(r_max + 1):
+        ys = exhaustive_offsets(width, r)
+        y_sets.append(ys)
+        w_sets.append(frozenset(ys - seen))
+        seen |= ys
+    return IncSetTable(
+        width=width,
+        r_max=r_max,
+        y_sets=tuple(y_sets),
+        w_sets=tuple(w_sets),
+        w_max=max(len(w) for w in w_sets),
+    )
 
 
 def check_field_laws(rng, cases: int) -> None:

@@ -6,11 +6,11 @@ lines; every tolerance is pinned here, not calibrated elsewhere.
 
 import random
 
-from gfref import check_field_laws, mul_oracle
+from gfref import check_field_laws, compute_inc_sets, mul_oracle
 from wideblock import attacks, field, modes
 from wideblock.analysis import (
     DEFAULT_PARAMS,
-    compute_inc_sets,
+    inc_set_counts,
     sample_w32,
     table1_report,
 )
@@ -250,6 +250,7 @@ def test_criterion_8_inc_sets():
     membership_ok = all(
         (((x + r) & 0xFF) ^ x) in table.y_sets[r] for r in range(256) for x in range(256)
     )
+    counts = inc_set_counts(8, 255)
     wide = sample_w32(r_max=1 << 10)
     _report(
         8,
@@ -257,8 +258,10 @@ def test_criterion_8_inc_sets():
         partition_ok
         and membership_ok
         and table.w_max == WIDTH8_WMAX
+        and counts == list(table.w_cardinalities)
+        and max(counts) == WIDTH8_WMAX
         and wide.w_max_observed <= 32,
-        f"width-8 w_max {table.w_max} (frozen {WIDTH8_WMAX}), "
+        f"width-8 w_max {table.w_max}, closed form {max(counts)} (frozen {WIDTH8_WMAX}), "
         f"width-32 max w_r {wide.w_max_observed} over r<=1024",
     )
 

@@ -86,6 +86,13 @@ def test_recover_h_is_exact():
         assert 1 <= report.trials <= 40
 
 
+def test_recovered_zero_key_is_reported():
+    """h = 0 is a recovered key like any other, not an absent one."""
+    report = hctr_recover_h(HctrOracle(modes.hctr_keys(bytes(32))), max_iters=40, seed=3)
+    assert report.successes == 1 and report.recovered_material == field.ZERO
+    assert f"recovered {'0' * 32}" in report.serialize().splitlines()
+
+
 def test_pad_one_inverse_literal():
     assert field.mul(attacks._PAD_ONE, attacks._PAD_ONE_INV) == field.ONE
     assert attacks._PAD_ONE_INV == gfref.inv(attacks._PAD_ONE)

@@ -8,7 +8,7 @@ from wideblock.ctr import xcb_ctr, xor_ctr
 from wideblock.polyhash import BitString
 
 rng = random.Random(0xC7)
-cipher = FeistelCipher.from_seed(99)
+cipher = FeistelCipher((99).to_bytes(16, "big"))
 
 
 def rand_bits(nbits: int) -> BitString:
