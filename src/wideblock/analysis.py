@@ -159,82 +159,58 @@ def _totient_of_mersenne(n: int) -> int:
     return math.prod(f - 1 for f in factors)
 
 
-def _pow2(n: int) -> int:
-    return 1 << n
+_Row = tuple[str, Callable[[BoundParams], Fraction]]
 
 
-_FORMULAS: dict[str, tuple[str, Callable[[BoundParams], Fraction]]] = {
+def _per_sigma2(c: str | int) -> _Row:
+    """c*sigma^2 / 2^n, with c an integer or a decimal literal."""
+    coef = Fraction(c)
+    return f"{c}*sigma^2 / 2^n", lambda p: coef * p.sigma**2 / (1 << p.n)
+
+
+def _xcb(c: int, k: int) -> _Row:
+    """(c+2^k)*ell*q*sigma / 2^n, the XCB form; the paper's repair lowers k."""
+    return (
+        f"({c}+2^{k})*ell*q*sigma / 2^n",
+        lambda p: Fraction((c + (1 << k)) * p.ell * p.q * p.sigma, 1 << p.n),
+    )
+
+
+def _mxcb(c: str) -> _Row:
+    """(c*q^2 + sigma^2) / 2^n, with c a decimal literal."""
+    coef = Fraction(c)
+    return f"({c}*q^2 + sigma^2) / 2^n", lambda p: (coef * p.q**2 + p.sigma**2) / (1 << p.n)
+
+
+#: The one scheme that ``eval_bound`` knows but the comparison report leaves out.
+_OLD_THEOREM = "xcbv1-old-theorem"
+
+#: Every scheme's bound, in report order: the printed formula and the exact
+#: function behind it come from one definition.
+_FORMULAS: dict[str, _Row] = {
     "tet": (
         "3*sigma^2 / (2*phi(2^n - 1))",
         lambda p: Fraction(3 * p.sigma**2, 2 * _totient_of_mersenne(p.n)),
     ),
-    "hctr": (
-        "4.5*sigma^2 / 2^n",
-        lambda p: Fraction(9 * p.sigma**2, 2 * _pow2(p.n)),
-    ),
-    "cmc": (
-        "7*sigma^2 / 2^n",
-        lambda p: Fraction(7 * p.sigma**2, _pow2(p.n)),
-    ),
-    "eme": (
-        "7*sigma^2 / 2^n",
-        lambda p: Fraction(7 * p.sigma**2, _pow2(p.n)),
-    ),
-    "heh": (
-        "20*sigma^2 / 2^n",
-        lambda p: Fraction(20 * p.sigma**2, _pow2(p.n)),
-    ),
+    "hctr": _per_sigma2("4.5"),
+    "cmc": _per_sigma2(7),
+    "eme": _per_sigma2(7),
+    "heh": _per_sigma2(20),
     "xcb-2007": (
         "8*q^2*(ell+2)^2 / 2^n",
-        lambda p: Fraction(8 * p.q**2 * (p.ell + 2) ** 2, _pow2(p.n)),
+        lambda p: Fraction(8 * p.q**2 * (p.ell + 2) ** 2, 1 << p.n),
     ),
-    "xcbv2fb-old": (
-        "(5+2^22)*ell*q*sigma / 2^n",
-        lambda p: Fraction((5 + (1 << 22)) * p.ell * p.q * p.sigma, _pow2(p.n)),
-    ),
-    "xcbv1-old-table": (
-        "(5+2^22)*ell*q*sigma / 2^n",
-        lambda p: Fraction((5 + (1 << 22)) * p.ell * p.q * p.sigma, _pow2(p.n)),
-    ),
-    "xcbv1-old-theorem": (
-        "(3+2^22)*ell*q*sigma / 2^n",
-        lambda p: Fraction((3 + (1 << 22)) * p.ell * p.q * p.sigma, _pow2(p.n)),
-    ),
-    "xcbv2fb-repaired": (
-        "(5+2^5)*ell*q*sigma / 2^n",
-        lambda p: Fraction((5 + (1 << 5)) * p.ell * p.q * p.sigma, _pow2(p.n)),
-    ),
-    "xcbv1-repaired": (
-        "(3+2^5)*ell*q*sigma / 2^n",
-        lambda p: Fraction((3 + (1 << 5)) * p.ell * p.q * p.sigma, _pow2(p.n)),
-    ),
-    "mxcbv2fb": (
-        "(3.5*q^2 + sigma^2) / 2^n",
-        lambda p: Fraction(7 * p.q**2, 2 * _pow2(p.n)) + Fraction(p.sigma**2, _pow2(p.n)),
-    ),
-    "mxcbv1": (
-        "(2.5*q^2 + sigma^2) / 2^n",
-        lambda p: Fraction(5 * p.q**2, 2 * _pow2(p.n)) + Fraction(p.sigma**2, _pow2(p.n)),
-    ),
+    "xcbv2fb-old": _xcb(5, 22),
+    "xcbv1-old-table": _xcb(5, 22),
+    _OLD_THEOREM: _xcb(3, 22),
+    "xcbv2fb-repaired": _xcb(5, 5),
+    "xcbv1-repaired": _xcb(3, 5),
+    "mxcbv2fb": _mxcb("3.5"),
+    "mxcbv1": _mxcb("2.5"),
 }
 
-#: Row order of the comparison report.  Both pre-repair rows use the
-#: (5+2^22) constant; the (3+2^22) form of the pre-repair v1 bound is kept
-#: available as the extra scheme name xcbv1-old-theorem.
-TABLE_ROWS = (
-    "tet",
-    "hctr",
-    "cmc",
-    "eme",
-    "heh",
-    "xcb-2007",
-    "xcbv2fb-old",
-    "xcbv1-old-table",
-    "xcbv2fb-repaired",
-    "xcbv1-repaired",
-    "mxcbv2fb",
-    "mxcbv1",
-)
+#: Row order of the comparison report.
+TABLE_ROWS = tuple(name for name in _FORMULAS if name != _OLD_THEOREM)
 
 
 class BoundResult(NamedTuple):
@@ -296,7 +272,7 @@ def table1_report(params: BoundParams = DEFAULT_PARAMS) -> BoundTable:
     rows = tuple(eval_bound(name, params) for name in TABLE_ROWS)
     note = (
         "both pre-repair rows use the (5+2^22) constant; the (3+2^22) form "
-        "of the pre-repair v1 bound is available as 'xcbv1-old-theorem'"
+        f"of the pre-repair v1 bound is available as '{_OLD_THEOREM}'"
     )
     return BoundTable(params=params, rows=rows, note=note)
 

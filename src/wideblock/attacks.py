@@ -32,9 +32,7 @@ from . import field, modes
 from .blockcipher import BlockCipher
 from .field import FieldElement
 from .modes import TesKeySet, XcbVariant
-from .polyhash import BitString, block_to_field, field_to_block, hctr_hash
-
-BLOCK_BITS = 128
+from .polyhash import BLOCK_BITS, BitString, block_to_field, field_to_block, hctr_hash
 
 # pad of a single 1 bit: the x^127 monomial, and its inverse x^-127
 _PAD_ONE = FieldElement(1 << 127)
@@ -143,6 +141,15 @@ def _query(oracle: EncryptionOracle, tweak: BitString, payload: BitString) -> Bi
     return response
 
 
+def _query_pair(
+    oracle: EncryptionOracle, rng: random.Random
+) -> tuple[BitString, BitString, BitString]:
+    """Draw a block x and query x and x||0 under the empty tweak: the pair
+    on which unrepaired HCTR's hash collides."""
+    x = BitString.from_int(rng.getrandbits(BLOCK_BITS), BLOCK_BITS)
+    return x, _query(oracle, _EMPTY, x), _query(oracle, _EMPTY, x + _ZERO_BIT)
+
+
 def hctr_distinguish(oracle: EncryptionOracle, trials: int, seed: int) -> AttackReport:
     """Count first-block collisions between x and x||0 under an empty tweak.
 
@@ -154,9 +161,7 @@ def hctr_distinguish(oracle: EncryptionOracle, trials: int, seed: int) -> Attack
     successes = 0
     transcript: list[tuple[str, str]] = []
     for _ in range(trials):
-        x = BitString.from_int(rng.getrandbits(BLOCK_BITS), BLOCK_BITS)
-        c_short = _query(oracle, _EMPTY, x)
-        c_long = _query(oracle, _EMPTY, x + _ZERO_BIT)
+        x, c_short, c_long = _query_pair(oracle, rng)
         hit = c_long.msb(BLOCK_BITS) == c_short
         successes += hit
         if len(transcript) < 6:
@@ -186,9 +191,7 @@ def hctr_recover_h(oracle: EncryptionOracle, max_iters: int, seed: int) -> Attac
     rng = random.Random(seed)
     transcript: list[tuple[str, str]] = []
     for iteration in range(1, max_iters + 1):
-        x = BitString.from_int(rng.getrandbits(BLOCK_BITS), BLOCK_BITS)
-        c_short = _query(oracle, _EMPTY, x)
-        c_long = _query(oracle, _EMPTY, x + _ZERO_BIT)
+        x, c_short, c_long = _query_pair(oracle, rng)
         tail = c_long.lsb(1).to_int()
         if len(transcript) < 6:
             transcript.append((f"P={x.data.hex()}(+0)", f"tail={tail}"))
@@ -200,9 +203,7 @@ def hctr_recover_h(oracle: EncryptionOracle, max_iters: int, seed: int) -> Attac
         # Prediction check on an independent pair: with the right h, the
         # first block of E(y||0) is E_K(CC) xor H_h(tail bit), and E_K(CC)
         # is readable off E(y) as its first block xor h.
-        y = BitString.from_int(rng.getrandbits(BLOCK_BITS), BLOCK_BITS)
-        v_short = _query(oracle, _EMPTY, y)
-        v_long = _query(oracle, _EMPTY, y + _ZERO_BIT)
+        y, v_short, v_long = _query_pair(oracle, rng)
         e_cc = v_short ^ field_to_block(h)
         predicted = e_cc ^ field_to_block(hctr_hash(h, v_long.lsb(1)))
         verified = predicted == v_long.msb(BLOCK_BITS)

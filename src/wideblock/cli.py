@@ -46,8 +46,12 @@ def _int_at_least(minimum: int, maximum: int | None = None):
 #: Largest ``incsets --rmax``: one output line per r, 2^20 lines at most.
 _MAX_INCSETS_RMAX = 1 << 20
 
+#: Largest ``attack --trials``: a trial is two oracle queries, so this
+#: bounds the run's time.
+_MAX_TRIALS = 1 << 20
 
-def _cmd_crypt(args: argparse.Namespace, encrypt: bool) -> int:
+
+def _cmd_crypt(args: argparse.Namespace) -> int:
     mode = modes.MODES[args.mode]
     keys = mode.derive(bytes.fromhex(args.key))
     tweak = BitString(bytes.fromhex(args.tweak))
@@ -57,7 +61,7 @@ def _cmd_crypt(args: argparse.Namespace, encrypt: bool) -> int:
         raise ValueError(f"{path} is {size} bytes; the modes take at most 2^39 bits (64 GiB)")
     with open(path, "rb") as f:
         data = BitString(f.read())
-    result = mode.crypt(keys, tweak, data, encrypt, args.allow_insecure_partial)
+    result = mode.crypt(keys, tweak, data, args.encrypt, args.allow_insecure_partial)
     with open(args.out, "wb") as f:
         f.write(result.to_bytes())
     return 0
@@ -200,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, doc in (("encrypt", "encrypt a file"), ("decrypt", "decrypt a file")):
         p = sub.add_parser(name, help=doc)
+        p.set_defaults(handler=_cmd_crypt, encrypt=name == "encrypt")
         p.add_argument("--mode", required=True, choices=modes.MODES)
         p.add_argument("--key", required=True, help="key as hex")
         p.add_argument("--tweak", default="", help="tweak as hex (default empty)")
@@ -213,22 +218,24 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("attack", help="run an attack demonstration")
+    p.set_defaults(handler=_cmd_attack)
     p.add_argument(
         "attack",
         choices=("hctr-distinguish", "hctr-recover", "hctr-keydep", "xcb-cycle"),
     )
-    p.add_argument("--trials", type=_int_at_least(1), default=10000)
+    p.add_argument("--trials", type=_int_at_least(1, _MAX_TRIALS), default=10000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--order", type=int, default=3, help="weak-key order for xcb-cycle")
     p.add_argument("--swap", default=None, help="1-based block indices i,j for xcb-cycle")
     p.add_argument(
         "--mode",
         default="xcbv2",
-        choices=("xcbv1", "xcbv2"),
+        choices=modes.VARIANTS,
         help="construction attacked by xcb-cycle",
     )
 
     p = sub.add_parser("bounds", help="print the security-bound comparison table")
+    p.set_defaults(handler=_cmd_bounds)
     p.add_argument("--q", default="2^30", help="query count (int, 2^k or 2^a+2^b)")
     p.add_argument("--len", type=int, default=(1 << 8) + 1, help="max blocks per query")
     p.add_argument("--sigma", default="2^38+2^30", help="query complexity in blocks")
@@ -236,10 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
     p = sub.add_parser("weakkey", help="scan a hash key for small-order subgroups")
+    p.set_defaults(handler=_cmd_weakkey)
     p.add_argument("--h", required=True, help="hash key as 32 hex chars")
     p.add_argument("--max-order", type=_int_at_least(0), default=1 << 20)
 
     p = sub.add_parser("incsets", help="counter-offset set analysis")
+    p.set_defaults(handler=_cmd_incsets)
     p.add_argument("--width", type=_int_at_least(1, 128), default=8, help="counter bits, 1..128")
     p.add_argument(
         "--rmax", type=_int_at_least(0, _MAX_INCSETS_RMAX), default=255, help="largest r, 0..2^20"
@@ -256,16 +265,8 @@ def main(argv: list[str] | None = None) -> int:
         # "--" and stores an empty list, unconverted and unchecked.
         if value == []:
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
-    handlers = {
-        "encrypt": lambda a: _cmd_crypt(a, encrypt=True),
-        "decrypt": lambda a: _cmd_crypt(a, encrypt=False),
-        "attack": _cmd_attack,
-        "bounds": _cmd_bounds,
-        "weakkey": _cmd_weakkey,
-        "incsets": _cmd_incsets,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,14 +33,12 @@ from typing import Callable, NamedTuple, Optional
 from . import ctr, polyhash
 from .blockcipher import AesCipher, BadKeyLength, BlockCipher
 from .field import _MASK128, _ZERO_BLOCK, FieldElement
-from .polyhash import BitString, _cat, _mask_tail
+from .polyhash import BLOCK_BITS, BitString, _cat, _mask_tail
 
 CipherFactory = Callable[[bytes], BlockCipher]
 
 #: Both payload and tweak are capped at 2^39 bits.
 MAX_BITS = 1 << 39
-
-BLOCK_BITS = 128
 
 
 class LengthBounds(ValueError):
@@ -174,8 +172,8 @@ def inject_subkeys(keys: TesKeySet, **overrides) -> TesKeySet:
     non-derived.  With no overrides the key set is returned unchanged."""
     if not overrides:
         return keys
-    allowed = {"h1", "h2", "h", "ke", "kd", "kc", "k"}
-    unknown = set(overrides) - allowed
+    # Every field after scheme and derived is a subkey.
+    unknown = overrides.keys() - TesKeySet._fields[2:]
     if unknown:
         raise TypeError(f"unknown subkeys: {sorted(unknown)}")
     return keys._replace(derived=False, **overrides)

@@ -11,6 +11,7 @@ from wideblock.analysis import (
     TABLE_ROWS,
     BoundParams,
     UnknownScheme,
+    _FORMULAS,
     eval_bound,
     inc_set_counts,
     parse_magnitude,
@@ -19,6 +20,7 @@ from wideblock.analysis import (
     w_set,
 )
 from wideblock.attacks import AttackReport
+from wideblock.field import GROUP_ORDER, GROUP_ORDER_FACTORS
 
 # Frozen by the exhaustive pre-build oracle: the largest number of new XOR
 # offsets any single increment count contributes at width 8 (reached at r=1).
@@ -182,6 +184,35 @@ def test_bound_arithmetic_is_exact():
     q, sigma = DEFAULT_PARAMS.q, DEFAULT_PARAMS.sigma
     assert row.advantage == Fraction(5 * q**2 + 2 * sigma**2, 2 * 2**128)
     assert math.isclose(row.advantage_log2, math.log2(float(row.advantage)))
+
+
+def _phi(m: Fraction) -> int:
+    """Euler's phi of a divisor of 2^128 - 1, which is squarefree."""
+    m = int(m)
+    assert GROUP_ORDER % m == 0
+    return math.prod(f - 1 for f in GROUP_ORDER_FACTORS if m % f == 0)
+
+
+def _read_formula(text: str, params: BoundParams) -> Fraction:
+    """A printed formula as exact arithmetic: decimal literals as Fractions,
+    ^ as a power and phi as Euler's totient."""
+    assert re.fullmatch(r"[0-9.+\-*/^() a-z]+", text), text
+    assert set(re.findall(r"[a-z]+", text)) <= {"q", "ell", "sigma", "n", "phi"}, text
+    expr = re.sub(r"\d+(\.\d+)?", lambda m: f"Fraction('{m[0]}')", text).replace("^", "**")
+    return eval(expr, {"__builtins__": {}}, {"Fraction": Fraction, "phi": _phi, **params._asdict()})
+
+
+@pytest.mark.parametrize("params", [
+    DEFAULT_PARAMS,
+    DEFAULT_PARAMS._replace(n=64),
+    BoundParams(q=1 << 20, ell=3, sigma=1 << 30, n=64),
+    BoundParams(q=7, ell=5, sigma=33, n=64),
+    BoundParams(q=3, ell=2, sigma=10),
+])
+def test_printed_formula_is_the_evaluated_bound(params):
+    for scheme in _FORMULAS:
+        row = eval_bound(scheme, params)
+        assert _read_formula(row.formula, params) == row.advantage, scheme
 
 
 def test_params_validation():

@@ -199,7 +199,7 @@ def test_attack_keydep(capsys):
     assert "recovered_matches_hidden yes" in out
 
 
-@pytest.mark.parametrize("mode", ["xcbv1", "xcbv2"])
+@pytest.mark.parametrize("mode", modes.VARIANTS)
 def test_attack_cycle(capsys, mode):
     code, out, _ = run(
         capsys, "attack", "xcb-cycle", "--mode", mode, "--order", "3", "--seed", "2"
@@ -301,19 +301,25 @@ def test_untabulated_bound_width_is_a_fast_data_error(capsys):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ("attack", "hctr-distinguish", "--trials", "0"),
-    ("attack", "hctr-distinguish", "--trials", "-3"),
-    ("incsets", "--width", "32", "--rmax", "-1"),
-    ("incsets", "--width", "8", "--rmax", "-1"),
-    ("weakkey", "--h", "ff" * 16, "--max-order", "-1"),
-])
-def test_out_of_range_counts_are_usage_errors(capsys, argv):
+_OUT_OF_RANGE_COUNTS = [
+    (("attack", "hctr-distinguish", "--trials", "0"), "must be at least 1"),
+    (("attack", "hctr-distinguish", "--trials", "-3"), "must be at least 1"),
+    (("incsets", "--width", "32", "--rmax", "-1"), "must be at least 0"),
+    (("incsets", "--width", "8", "--rmax", "-1"), "must be at least 0"),
+    (("weakkey", "--h", "ff" * 16, "--max-order", "-1"), "must be at least 0"),
+    (("attack", "xcb-cycle", "--trials", str((1 << 20) + 1)), "must be at most 1048576"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", _OUT_OF_RANGE_COUNTS, ids=[f"argv{i}" for i in range(len(_OUT_OF_RANGE_COUNTS))]
+)
+def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "must be at least" in err
+    assert message in err
     assert "Traceback" not in err
 
 
@@ -371,10 +377,10 @@ def _magnitudes(draw):
 _attack = st.tuples(
     st.just("attack"),
     st.sampled_from(["hctr-distinguish", "hctr-recover", "hctr-keydep", "xcb-cycle"]),
-    st.builds("--trials={}".format, st.integers(min_value=-1, max_value=20)),
+    st.builds("--trials={}".format, st.integers(min_value=-1, max_value=20) | st.just((1 << 20) + 1)),
     st.builds("--seed={}".format, _ints(1000, 1 << 80)),
     st.builds("--order={}".format, _orders),
-    st.builds("--mode={}".format, st.sampled_from(["xcbv1", "xcbv2"])),
+    st.builds("--mode={}".format, st.sampled_from(sorted(modes.VARIANTS))),
 ).map(list) | st.builds(
     lambda order, i, j: ["attack", "xcb-cycle", f"--order={order}", f"--swap={i},{j}"],
     _orders, _ints(40, 100000000, *_huge), _ints(60, 100000000, *_huge),
