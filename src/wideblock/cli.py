@@ -11,7 +11,9 @@ cipher path (block cipher, field, hash, counter and modes).
 
 CLI payloads are whole files, so byte-aligned; bit-granular inputs exist
 only inside the attack harness.  Identical (argv, seed, input) always
-produces identical output.
+produces identical output.  Usage errors exit 2 and data errors exit 1
+with a one-line diagnostic; output that its reader closes early exits 1
+with none.
 """
 
 from __future__ import annotations
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="print the security-bound comparison table")
     p.set_defaults(handler=_cmd_bounds)
     p.add_argument("--q", default="2^30", help="query count (int, 2^k or 2^a+2^b)")
-    p.add_argument("--len", type=int, default=(1 << 8) + 1, help="max blocks per query")
+    p.add_argument("--len", type=_int_at_least(1), default=(1 << 8) + 1, help="max blocks per query")
     p.add_argument("--sigma", default="2^38+2^30", help="query complexity in blocks")
     p.add_argument("--n", type=int, default=128, help="block bits")
     p.add_argument("--format", choices=("text", "structured"), default="text")
@@ -266,7 +268,15 @@ def main(argv: list[str] | None = None) -> int:
         if value == []:
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the output early (``wideblock bounds | head -2``).
+        # Python's documented recipe: point stdout at the null device, so
+        # the flush at exit cannot fail again, and exit 1 without a message.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

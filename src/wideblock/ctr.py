@@ -8,6 +8,11 @@ XORed with the leading bits of its keystream block.
 ``_ctr`` does the work on a seed int and on the data's bytes and bit
 length; the modes call it directly, and ``xcb_ctr`` and ``xor_ctr`` wrap
 it for ``BitString`` arguments.
+
+All n counter blocks are built at once as one int of n 128-bit slots, n
+copies of the seed plus the ramp 0, 1, ..., n - 1, so big-int arithmetic
+in C does per-block work that would otherwise be a Python step a block.
+The payloads the modes accept (at most 2^39 bits) have n < 2^32 blocks.
 """
 
 from __future__ import annotations
@@ -18,21 +23,46 @@ from .polyhash import BitString
 _LOW32 = 0xFFFFFFFF
 
 
+def _ones_and_ramp(n: int) -> tuple[int, int]:
+    """Two ints of n 128-bit slots, slot 0 the most significant: every slot
+    of ``ones`` holds 1 and slot i of ``ramp`` holds i.
+
+    Both are doubled from one slot, k slots to 2k (the second half of the
+    ramp holds k more than the first), to the first power of two k >= n,
+    and cut to their first n slots.  That is a few big-int passes over
+    the result, not one Python step per block.
+    """
+    ones, ramp, k = 1, 0, 1
+    while k < n:
+        ramp = (ramp << 128 * k) + ramp + k * ones
+        ones |= ones << 128 * k
+        k *= 2
+    return ones >> 128 * (k - n), ramp >> 128 * (k - n)
+
+
+def _counter_blocks(seed: int, n: int, inc32: bool) -> bytes:
+    """The n counter blocks from the 128-bit seed, built as one int of n
+    slots: seed + i in slot i for inc32, less 2^32 in the slots after the
+    low 32 bits wrap (once at most, since n < 2^32), and seed xor (i + 1)
+    for the XOR-index family."""
+    ones, ramp = _ones_and_ramp(n)
+    if not inc32:
+        return (seed * ones ^ (ramp + ones)).to_bytes(16 * n, "big")
+    counters = seed * ones + ramp
+    wrapped = (seed & _LOW32) + n - (1 << 32)
+    if wrapped > 0:
+        counters -= ones >> 128 * (n - wrapped) << 32
+    return counters.to_bytes(16 * n, "big")
+
+
 def _ctr(cipher: BlockCipher, seed: int, data: bytes, bitlen: int, inc32: bool) -> bytes:
     """data XOR the keystream from the 128-bit seed: the 32-bit-increment
     family if inc32, else the XOR-index family.  data holds bitlen bits
     left-aligned with a zero tail, and so does the result."""
-    nblocks = (bitlen + 127) // 128
-    if inc32:
-        high, low = seed & ~_LOW32, seed & _LOW32
-        counters = b"".join(
-            (high | ((low + i) & _LOW32)).to_bytes(16, "big") for i in range(nblocks)
-        )
-    else:
-        counters = b"".join((seed ^ i).to_bytes(16, "big") for i in range(1, nblocks + 1))
     n = len(data)
     tail = 8 * n - bitlen
-    ks = int.from_bytes(cipher.encrypt_blocks(counters)[:n], "big")
+    ks = cipher.encrypt_blocks(_counter_blocks(seed, (bitlen + 127) // 128, inc32))
+    ks = int.from_bytes(ks[:n], "big")
     if tail:
         ks = ks >> tail << tail
     return (int.from_bytes(data, "big") ^ ks).to_bytes(n, "big")

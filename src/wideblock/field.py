@@ -15,13 +15,20 @@ n*h*x^(4i) for each of the 32 nibble positions i, about 22 KB, built on
 first use and kept on that ``FieldElement``.  A product is then one lookup
 per nibble of the other operand.
 
-A hash input of at least ``BYTE_TABLE_BLOCKS`` blocks (2 KiB) is evaluated
+A hash input of at least 2 KiB (``BYTE_TABLE_BLOCKS`` blocks) is evaluated
 with h's 8-bit table instead: the 256 products n*h*x^(8j) for each of the
 16 byte positions j, about 213 KB, built from the 4-bit table on the first
 such input and also kept on h.  It halves the lookups per block but takes
-a further 0.37 ms to build (CPython 3.11, 2-vCPU Xeon), which short inputs
-under fresh keys (the attack demos) would never repay; see
+a further 0.2-0.3 ms to build (CPython 3.11, 2-vCPU Xeon), which short
+inputs under fresh keys (the attack demos) would never repay; see
 ``BYTE_TABLE_BLOCKS``.
+
+Both table kernels take the blocks as 128-bit ints from one iterator,
+``_blocks``: ``struct`` splits each part of a hash input into 16-byte
+blocks a chunk of 256 blocks at a time and ``int.from_bytes`` reads them,
+both in C, so no Python step runs per block outside the lookups, and no
+more than one chunk's blocks exist at once.  Only a part's partial last
+block is copied, to pad it.
 
 ``sqrt`` is GF(2)-linear, so it is one multiply by the constant sqrt(x)
 on top of two bit packings, not 127 squarings.  ``order_divisor`` clears a
@@ -37,6 +44,9 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
+from collections.abc import Iterable, Iterator
+from itertools import chain, repeat
 
 # f(x) = x^128 + x^7 + x^2 + x + 1, with the x^128 bit kept explicit so a
 # shift by x can clear it in one XOR.
@@ -188,9 +198,9 @@ def _key_table(h: FieldElement) -> tuple:
         return table
 
 
-def _horner(table: tuple, acc: int, data: bytes) -> int:
-    """Horner steps acc = (acc + c)*h over the 16-byte blocks c of data (whole
-    blocks), read big-endian, for the h whose table this is.
+def _horner(table: tuple, acc: int, blocks: Iterable[int]) -> int:
+    """Horner steps acc = (acc + c)*h over the 128-bit ints c of blocks, for
+    the h whose table this is.
 
     Each product is one lookup per nibble of acc + c.  The 32 lookups are
     written out, since a loop over the table costs about a third more.
@@ -198,9 +208,9 @@ def _horner(table: tuple, acc: int, data: bytes) -> int:
     (l0, h0), (l1, h1), (l2, h2), (l3, h3), (l4, h4), (l5, h5), (l6, h6), (l7, h7), \
         (l8, h8), (l9, h9), (l10, h10), (l11, h11), (l12, h12), (l13, h13), (l14, h14), \
         (l15, h15) = table
-    for i in range(0, len(data), 16):
+    for c in blocks:
         b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = (
-            acc ^ int.from_bytes(data[i : i + 16], "big")
+            acc ^ c
         ).to_bytes(16, "little")
         acc = (
             l0[b0 & 15] ^ h0[b0 >> 4] ^ l1[b1 & 15] ^ h1[b1 >> 4]
@@ -231,11 +241,10 @@ def _key_byte_table(h: FieldElement) -> tuple:
         return table
 
 
-def _horner_bytes(table: tuple, acc: int, data: bytes) -> int:
-    """``_horner`` with h's 8-bit table, over data of whole 16-byte blocks:
-    one lookup per byte of acc + c."""
+def _horner_bytes(table: tuple, acc: int, blocks: Iterable[int]) -> int:
+    """``_horner`` with h's 8-bit table: one lookup per byte of acc + c."""
     t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = table
-    for c in [int.from_bytes(data[i : i + 16], "big") for i in range(0, len(data), 16)]:
+    for c in blocks:
         b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = (
             acc ^ c
         ).to_bytes(16, "little")
@@ -246,32 +255,56 @@ def _horner_bytes(table: tuple, acc: int, data: bytes) -> int:
     return acc
 
 
-#: Hash inputs of at least this many blocks (2 KiB) use the key's 8-bit
-#: table.  On CPython 3.11 (2-vCPU Xeon) it takes about 0.37 ms to build on
-#: top of the 4-bit table and saves about 1.6 us a block, so it repays its
-#: build after about 230 blocks hashed under one key.  Keys that hash
+#: Hash inputs of at least this many blocks' worth of bytes (2 KiB) use the
+#: key's 8-bit table.  On CPython 3.11 (2-vCPU Xeon) it takes 0.18-0.29 ms
+#: to build on top of the 4-bit table and saves 0.85-1.5 us a block (the
+#: 4-bit kernel takes 1.7-2.9 us a block, the 8-bit one 0.8-1.4 us, both
+#: fed by ``_blocks``; the spread is the shared host's), so it repays its
+#: build after about 200 blocks hashed under one key.  Keys that hash
 #: inputs this long are sector and file keys, which hash many of them; the
 #: attack demos draw fresh keys and hash at most about 21 blocks under
 #: each, which would never repay it.
 BYTE_TABLE_BLOCKS = 128
+
+#: ``_blocks`` splits whole chunks of this many blocks with one cached
+#: ``Struct`` call each, so it holds at most one chunk's blocks at a time.
+_CHUNK_BLOCKS = 256
+_CHUNK = struct.Struct("16s" * _CHUNK_BLOCKS)
+
+
+def _chunks(parts: tuple[bytes, ...]) -> Iterator[tuple[bytes, ...]]:
+    """Tuples of the 16-byte blocks of each part in turn: first the whole
+    blocks that do not fill a chunk, then each whole chunk through
+    ``_CHUNK``, then the partial last block, if any, padded with zero bytes."""
+    for part in parts:
+        end = len(part) & -16
+        start = end % _CHUNK.size
+        yield struct.unpack_from("16s" * (start >> 4), part)
+        if end > start:  # short parts, the most common, skip building a range
+            for i in range(start, end, _CHUNK.size):
+                yield _CHUNK.unpack_from(part, i)
+        if end != len(part):
+            yield (part[end:].ljust(16, b"\0"),)
+
+
+def _blocks(parts: tuple[bytes, ...]) -> Iterator[int]:
+    """The blocks of each part in turn as big-endian ints, lazily: ``struct``
+    and ``int.from_bytes`` split them in C, one chunk at a time."""
+    return map(int.from_bytes, chain.from_iterable(_chunks(parts)), repeat("big"))
 
 
 def _hash(h: FieldElement, *parts: bytes) -> int:
     """Horner's rule from 0 over the 16-byte big-endian blocks of each part
     in turn, each part padded with zero bytes to whole blocks: the sum of
     c_i * h^(m - i + 1) over the m blocks c_1..c_m."""
-    data = b"".join(part + bytes(-len(part) % 16) for part in parts)
-    if len(data) >= 16 * BYTE_TABLE_BLOCKS:
-        return _horner_bytes(_key_byte_table(h), 0, data)
-    return _horner(_key_table(h), 0, data)
-
-
-_ZERO_BLOCK = bytes(16)
+    if sum(map(len, parts)) >= 16 * BYTE_TABLE_BLOCKS:
+        return _horner_bytes(_key_byte_table(h), 0, _blocks(parts))
+    return _horner(_key_table(h), 0, _blocks(parts))
 
 
 def _times(a: int, table: tuple) -> int:
     """a*h for the h whose table this is: one Horner step over a zero block."""
-    return _horner(table, a, _ZERO_BLOCK)
+    return _horner(table, a, (0,))
 
 
 # Squaring is GF(2)-linear: the coefficient of x^k moves to x^2k.  _SPREAD

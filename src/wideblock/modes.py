@@ -32,13 +32,15 @@ from typing import Callable, NamedTuple, Optional
 
 from . import ctr, polyhash
 from .blockcipher import AesCipher, BadKeyLength, BlockCipher
-from .field import _MASK128, _ZERO_BLOCK, FieldElement
+from .field import _MASK128, FieldElement
 from .polyhash import BLOCK_BITS, BitString, _cat, _mask_tail
 
 CipherFactory = Callable[[bytes], BlockCipher]
 
 #: Both payload and tweak are capped at 2^39 bits.
 MAX_BITS = 1 << 39
+
+_ZERO_BLOCK = bytes(16)
 
 
 class LengthBounds(ValueError):

@@ -12,7 +12,7 @@ Coefficients are read straight from the bytes of a ``BitString``: its bits
 are left-aligned with a zero tail, so a partial last block padded with zero
 bytes is already the zero-padded block.  ``field._hash`` then runs Horner's
 rule on plain ints with one of the hash key's tables: the 4-bit table for
-inputs below ``field.BYTE_TABLE_BLOCKS`` blocks (2 KiB) in total, the 8-bit
+inputs below 2 KiB (``field.BYTE_TABLE_BLOCKS`` blocks) in total, the 8-bit
 table from there on, whose larger build pays off only over long inputs.
 Lookups in either table are key-dependent memory accesses: the hash is not
 constant time.

@@ -14,7 +14,8 @@ These deliberately avoid the production code paths:
   paths replaced;
 * ``inc`` is the block-at-a-time 32-bit counter increment that the
   counter layers in ``wideblock.ctr`` replaced with integer arithmetic
-  over all counters at once;
+  over all counters at once, and ``ctr_blockwise`` runs both counter
+  families a block at a time on top of it;
 * ``carry_class_offsets`` is the original full-depth carry-chain search
   for Y_r that the closed form of W_r in ``wideblock.analysis`` replaced;
 * ``exhaustive_offsets`` and ``compute_inc_sets`` (with its record
@@ -205,6 +206,18 @@ def inc(x: BitString) -> BitString:
         raise BadBlockLength("inc operates on full 128-bit blocks")
     low = (int.from_bytes(x.data[12:], "big") + 1) & 0xFFFFFFFF
     return BitString(x.data[:12] + low.to_bytes(4, "big"), 128)
+
+
+def ctr_blockwise(cipher, s: BitString, data: BitString, inc32: bool) -> BitString:
+    """data XOR the keystream, one block at a time: counter block i is
+    inc^i(s) for inc32, else s xor bin128(i + 1)."""
+    pieces = []
+    counter = s
+    for i in range(-(-data.bitlen // 128)):
+        block = counter if inc32 else s ^ BitString.from_int(i + 1, 128)
+        pieces.append(cipher.encrypt_block(block.data))
+        counter = inc(counter)
+    return xor(data, BitString(b"".join(pieces)).msb(data.bitlen))
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,22 @@ def test_encrypt_loads_only_the_cipher_layers(tmp_path):
     assert sorted(set(_NOT_ON_THE_CIPHER_PATH) & (loaded - baseline)) == []
 
 
+def test_closed_output_pipe_exits_quietly():
+    """A reader that closes stdout after one line: exit 1, nothing on
+    stderr.  The output (2^20 lines) is far past any pipe buffer, so the
+    command is still writing when the read end closes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with subprocess.Popen(
+        [sys.executable, "-m", "wideblock.cli", "incsets", "--width", "32", "--rmax", str(1 << 20)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"width 32 rmax 1048576\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_attack_and_analysis_layers_load_no_dataclasses():
     # Their records are NamedTuples: importing every layer must not pull in
     # dataclasses, or inspect, which dataclasses imports.
@@ -308,6 +324,7 @@ _OUT_OF_RANGE_COUNTS = [
     (("incsets", "--width", "8", "--rmax", "-1"), "must be at least 0"),
     (("weakkey", "--h", "ff" * 16, "--max-order", "-1"), "must be at least 0"),
     (("attack", "xcb-cycle", "--trials", str((1 << 20) + 1)), "must be at most 1048576"),
+    (("bounds", "--len", "0"), "must be at least 1"),
 ]
 
 

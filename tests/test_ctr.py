@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from gfref import inc
-from wideblock.blockcipher import BadBlockLength, FeistelCipher
+from gfref import ctr_blockwise, inc
+from wideblock import ctr
+from wideblock.blockcipher import AesCipher, BadBlockLength, FeistelCipher
 from wideblock.ctr import xcb_ctr, xor_ctr
 from wideblock.polyhash import BitString
 
@@ -91,3 +92,40 @@ def test_seed_must_be_full_block():
         xcb_ctr(cipher, rand_bits(127), rand_bits(128))
     with pytest.raises(BadBlockLength):
         xor_ctr(cipher, rand_bits(127), rand_bits(128))
+
+
+# ---------------------------------------------------------------------------
+# All counter blocks at once against the block-at-a-time reference
+
+_FAMILIES = [(xcb_ctr, True), (xor_ctr, False)]
+_BLOCK_COUNTS = [1, 2, 16, 255, 256, 257]
+aes = AesCipher(bytes(range(16)))
+
+
+@pytest.mark.parametrize("transform,inc32", _FAMILIES, ids=["inc32", "xor_index"])
+@pytest.mark.parametrize("nblocks", _BLOCK_COUNTS)
+def test_counter_matches_the_blockwise_reference(transform, inc32, nblocks):
+    """Whole final blocks and final blocks of 1-127 bits."""
+    r = random.Random(nblocks)
+    s = BitString.from_int(r.getrandbits(128), 128)
+    for tail in (128, 1, 64, 127, r.randrange(2, 127)):
+        nbits = 128 * (nblocks - 1) + tail
+        data = BitString.from_int(r.getrandbits(nbits), nbits)
+        assert transform(aes, s, data) == ctr_blockwise(aes, s, data, inc32)
+
+
+@pytest.mark.parametrize("nblocks", _BLOCK_COUNTS)
+def test_inc32_wraps_its_low_lanes(nblocks):
+    """Seeds whose low 32 bits lie within nblocks of 2^32, so the counter
+    wraps inside the message (except at one block), and the top 96 bits of
+    every counter block stay those of the seed."""
+    r = random.Random(nblocks)
+    high = r.getrandbits(96) << 32
+    for distance in sorted({1, max(1, nblocks // 2), nblocks - 1 or 1, nblocks}):
+        s = BitString.from_int(high | ((1 << 32) - distance), 128)
+        data = BitString.from_int(r.getrandbits(128 * nblocks - 5), 128 * nblocks - 5)
+        assert xcb_ctr(aes, s, data) == ctr_blockwise(aes, s, data, True)
+        blocks = ctr._counter_blocks(s.to_int(), nblocks, True)
+        lows = [int.from_bytes(blocks[16 * i + 12 : 16 * i + 16], "big") for i in range(nblocks)]
+        assert lows == [((1 << 32) - distance + i) % (1 << 32) for i in range(nblocks)]
+        assert {blocks[16 * i : 16 * i + 12] for i in range(nblocks)} == {s.data[:12]}

@@ -1,18 +1,21 @@
 """Every fast path against the slow reference it replaced (``gfref``).
 
-Field: the 4-bit table build, the 4-bit and 8-bit table kernels, generic
-``mul``, ``square``, ``pow``, ``inv``, ``sqrt`` and ``order_divisor``.
-Hashes: all three at lengths 0-600 bits, at 127, 128 and 129 hashed blocks
-(either side of the 8-bit table threshold) and at 2-8 KiB, partial blocks
-included.  ``BitString``: XOR, ``lsb``, ``parse_n`` and concatenation at
-lengths 0-600.  Modes: all six in both directions against the
-``BitString``-level bodies, at bit-granular payloads and tweaks.  Counter
-offsets: the closed-form ``W_r`` sets and counts against exhaustive
-enumeration at widths 1-12 and against the full-depth carry-chain search up
-to width 64, and that search against brute force.
+Field: the 4-bit table build, the 4-bit and 8-bit table kernels (also
+around the block iterator's chunk size), generic ``mul``, ``square``,
+``pow``, ``inv``, ``sqrt`` and ``order_divisor``.  Hashes: all three at
+lengths 0-600 bits, at 127, 128 and 129 hashed blocks (either side of the
+8-bit table threshold), around the chunk size and at 2-8 KiB, partial
+blocks included, and the block iterator's memory on 4 MiB.  ``BitString``:
+XOR, ``lsb``, ``parse_n`` and concatenation at lengths 0-600.  Modes: all
+six in both directions against the ``BitString``-level bodies, at
+bit-granular payloads and tweaks.  Counter offsets: the closed-form
+``W_r`` sets and counts against exhaustive enumeration at widths 1-12 and
+against the full-depth carry-chain search up to width 64, and that search
+against brute force.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -70,8 +73,59 @@ def test_key_table(h):
 @given(elements, elements, st.integers(min_value=0, max_value=160), st.integers(min_value=0))
 def test_byte_table_kernel(h, acc, blocks, seed):
     data = random.Random(seed).randbytes(16 * blocks)
-    expect = field._horner(field._key_table(h), acc.value, data)
-    assert field._horner_bytes(field._key_byte_table(h), acc.value, data) == expect
+    expect = field._horner(field._key_table(h), acc.value, field._blocks((data,)))
+    assert field._horner_bytes(field._key_byte_table(h), acc.value, field._blocks((data,))) == expect
+
+
+_CHUNK = field._CHUNK_BLOCKS
+_AROUND_CHUNKS = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+
+
+@pytest.mark.parametrize("blocks", _AROUND_CHUNKS)
+def test_kernels_across_whole_chunks(blocks):
+    """Both kernels, from a nonzero accumulator, over whole blocks split at
+    and around the block iterator's chunk size: acc folds into the first
+    block of the reference sum."""
+    r = random.Random(blocks)
+    h, acc = FieldElement(r.getrandbits(128)), r.getrandbits(128)
+    data = r.randbytes(16 * blocks)
+    folded = (int.from_bytes(data[:16], "big") ^ acc).to_bytes(16, "big") + data[16:]
+    expect = gfref.xcb_hash_oracle(h, BitString(folded), BitString.empty(), False).value
+    assert field._horner(field._key_table(h), acc, field._blocks((data,))) == expect
+    assert field._horner_bytes(field._key_byte_table(h), acc, field._blocks((data,))) == expect
+
+
+@pytest.mark.parametrize("blocks", _AROUND_CHUNKS)
+@pytest.mark.parametrize("tail_bits", [0, 1, 37, 127])
+def test_hash_parts_across_whole_chunks(blocks, tail_bits):
+    """``_hash`` over three parts: ``blocks`` blocks whose last one holds
+    ``tail_bits`` bits (all 128 at 0), a part shorter than a block and a
+    part of one block and one bit.  Each part is padded on its own."""
+    r = random.Random(blocks * 128 + tail_bits)
+    h = FieldElement(r.getrandbits(128))
+    x = random_bits(r.getrandbits(32), 128 * (blocks - 1) + (tail_bits or 128))
+    t = random_bits(r.getrandbits(32), 45)
+    u = random_bits(r.getrandbits(32), 129)
+    padded_x = gfref.concat(x, BitString.zeros(-x.bitlen % 128))
+    expect = gfref.xcb_hash_oracle(h, gfref.concat(padded_x, t), u, False)
+    assert field._hash(h, x.data, t.data, u.data) == expect.value
+
+
+def test_block_iterator_holds_one_chunk_at_a_time():
+    """Hashing 4 MiB allocates under 1 MiB beyond the input.  Under the
+    zero key every product is the cached int 0, so what tracemalloc sees
+    is the block iterator's own allocations, not the arithmetic's (about
+    20 ints a block, which take a traced 4 MiB hash from 2 s to 9 s)."""
+    h = FieldElement(0)
+    field._key_byte_table(h)
+    data = random.Random(4).randbytes(4 << 20)
+    tracemalloc.start()
+    try:
+        assert field._hash(h, data, data[:5]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @settings(max_examples=200, deadline=None)
