@@ -3,7 +3,9 @@
 Subcommands: encrypt/decrypt files under any of the six modes, run the
 attack demonstrations against harness-generated hidden keys, print the
 security-bound comparison table, scan a hash key for small subgroup
-membership, and compute counter-offset sets.
+membership, and compute counter-offset sets.  Each attack is its own
+subcommand of ``attack`` and takes only the options it reads, after its
+name; any other option is a usage error.
 
 Only ``attack`` and ``weakkey`` load ``attacks``, and only ``bounds`` and
 ``incsets`` load ``analysis``; ``encrypt``/``decrypt`` import just the
@@ -27,6 +29,7 @@ import sys
 # ``analysis`` or ``attacks`` import them when they run, so a file
 # operation never loads those layers.
 from . import modes
+from .field import FieldElement, element_of_order
 from .polyhash import BitString
 
 
@@ -48,8 +51,8 @@ def _int_at_least(minimum: int, maximum: int | None = None):
 #: Largest ``incsets --rmax``: one output line per r, 2^20 lines at most.
 _MAX_INCSETS_RMAX = 1 << 20
 
-#: Largest ``attack --trials``: a trial is two oracle queries, so this
-#: bounds the run's time.
+#: Largest ``attack hctr-distinguish --trials``: a trial is two oracle
+#: queries, so this bounds the run's time.
 _MAX_TRIALS = 1 << 20
 
 
@@ -84,83 +87,79 @@ def _swap_pair(text: str) -> tuple[int, int]:
     return i, j
 
 
-def _random_block(rng: random.Random) -> BitString:
-    return BitString(rng.randbytes(16))
-
-
-def _cmd_attack(args: argparse.Namespace) -> int:
+def _cmd_hctr_distinguish(args: argparse.Namespace) -> int:
     from . import attacks
-    from .field import element_of_order
+
+    keys = modes.hctr_keys(random.Random(args.seed).randbytes(32))
+    report = attacks.hctr_distinguish(attacks.HctrOracle(keys), args.trials, args.seed)
+    print(report.serialize())
+    return 0
+
+
+def _matches_hidden_h(recovered: FieldElement | None, keys: modes.TesKeySet) -> int:
+    """Print the hidden hash key and whether ``recovered`` equals it (exit 0 if so)."""
+    print(f"hidden_h {keys.h.to_hex()}")
+    match = recovered == keys.h
+    print(f"recovered_matches_hidden {'yes' if match else 'no'}")
+    return 0 if match else 1
+
+
+def _cmd_hctr_recover(args: argparse.Namespace) -> int:
+    from . import attacks
+
+    keys = modes.hctr_keys(random.Random(args.seed).randbytes(32))
+    report = attacks.hctr_recover_h(attacks.HctrOracle(keys), max_iters=40, seed=args.seed)
+    print(report.serialize())
+    return _matches_hidden_h(report.recovered_material, keys)
+
+
+def _cmd_hctr_keydep(args: argparse.Namespace) -> int:
+    from . import attacks
 
     rng = random.Random(args.seed)
-
-    if args.attack == "hctr-distinguish":
-        keys = modes.hctr_keys(rng.randbytes(32))
-        oracle = attacks.HctrOracle(keys)
-        report = attacks.hctr_distinguish(oracle, args.trials, args.seed)
-        print(report.serialize())
-        return 0
-
-    if args.attack == "hctr-recover":
-        keys = modes.hctr_keys(rng.randbytes(32))
-        oracle = attacks.HctrOracle(keys)
-        report = attacks.hctr_recover_h(oracle, max_iters=40, seed=args.seed)
-        print(report.serialize())
-        print(f"hidden_h {keys.h.to_hex()}")
-        match = report.recovered_material == keys.h
-        print(f"recovered_matches_hidden {'yes' if match else 'no'}")
-        return 0 if match else 1
-
-    if args.attack == "hctr-keydep":
-        keys = modes.hctr_keys(rng.randbytes(32))
-        while True:
-            x = _random_block(rng)
-            c = modes.hctr_encrypt(keys, BitString.empty(), x + x)
-            try:
-                recovered = attacks.hctr_keydep_recover(keys.k, x, c)
-                break
-            except attacks.DegenerateSample:
-                continue
+    keys = modes.hctr_keys(rng.randbytes(32))
+    while True:
+        x = BitString(rng.randbytes(16))
+        c = modes.hctr_encrypt(keys, BitString.empty(), x + x)
+        try:
+            recovered = attacks.hctr_keydep_recover(keys.k, x, c)
+        except attacks.DegenerateSample:
+            continue
         print(f"recovered_h {recovered.to_hex()}")
-        print(f"hidden_h {keys.h.to_hex()}")
-        match = recovered == keys.h
-        print(f"recovered_matches_hidden {'yes' if match else 'no'}")
-        return 0 if match else 1
+        return _matches_hidden_h(recovered, keys)
 
-    if args.attack == "xcb-cycle":
-        variant = modes.VARIANTS[args.mode]
-        weak = element_of_order(args.order)
-        if args.swap:
-            i, j = _swap_pair(args.swap)
-        else:
-            # The first counter-covered block and the one args.order after it.
-            span = variant.counter_span(args.order + 2)
-            i, j = span[0], span[-1]
-        nblocks = j + 1
-        if nblocks > _MAX_CYCLE_BLOCKS:
-            raise ValueError(
-                f"swapping block {j} needs a {nblocks}-block message; at most 2^16 blocks are drawn"
-            )
-        keys = modes.MODES[args.mode].derive(rng.randbytes(16))
-        weak_keys = {name: weak for name in ("h1", "h2", "h") if getattr(keys, name) is not None}
-        keys = modes.inject_subkeys(keys, **weak_keys)
-        tweak = BitString(rng.randbytes(16))
-        plaintext = BitString(rng.randbytes(16 * nblocks))
-        ciphertext = modes.xcb_encrypt(variant, keys, tweak, plaintext)
-        forged = attacks.xcb_cycling_forge(
-            variant, tweak, plaintext, ciphertext, args.order, (i, j)
-        )
-        true_swapped = modes.xcb_encrypt(
-            variant, keys, tweak, attacks.swap_blocks(plaintext, i, j)
-        )
-        match = forged == true_swapped
-        print(f"mode {variant.name}")
-        print(f"weak_order {args.order}")
-        print(f"swap {i},{j}")
-        print(f"forgery_valid {'yes' if match else 'no'}")
-        return 0 if match else 1
 
-    raise ValueError(f"unknown attack {args.attack!r}")
+def _cmd_xcb_cycle(args: argparse.Namespace) -> int:
+    from . import attacks
+
+    variant = modes.VARIANTS[args.mode]
+    weak = element_of_order(args.order)
+    if args.swap:
+        i, j = _swap_pair(args.swap)
+    else:
+        # The first counter-covered block and the one args.order after it.
+        span = variant.counter_span(args.order + 2)
+        i, j = span[0], span[-1]
+    nblocks = j + 1
+    if nblocks > _MAX_CYCLE_BLOCKS:
+        raise ValueError(
+            f"swapping block {j} needs a {nblocks}-block message; at most 2^16 blocks are drawn"
+        )
+    rng = random.Random(args.seed)
+    keys = modes.MODES[args.mode].derive(rng.randbytes(16))
+    weak_keys = {name: weak for name in ("h1", "h2", "h") if getattr(keys, name) is not None}
+    keys = modes.inject_subkeys(keys, **weak_keys)
+    tweak = BitString(rng.randbytes(16))
+    plaintext = BitString(rng.randbytes(16 * nblocks))
+    ciphertext = modes.xcb_encrypt(variant, keys, tweak, plaintext)
+    forged = attacks.xcb_cycling_forge(variant, tweak, plaintext, ciphertext, args.order, (i, j))
+    true_swapped = modes.xcb_encrypt(variant, keys, tweak, attacks.swap_blocks(plaintext, i, j))
+    match = forged == true_swapped
+    print(f"mode {variant.name}")
+    print(f"weak_order {args.order}")
+    print(f"swap {i},{j}")
+    print(f"forgery_valid {'yes' if match else 'no'}")
+    return 0 if match else 1
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -179,7 +178,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_weakkey(args: argparse.Namespace) -> int:
     from . import attacks
-    from .field import FieldElement
 
     h = FieldElement.from_hex(args.h)
     report = attacks.weak_key_scan(h, args.max_order)
@@ -219,22 +217,23 @@ def build_parser() -> argparse.ArgumentParser:
             "despite the known distinguishing attack",
         )
 
-    p = sub.add_parser("attack", help="run an attack demonstration")
-    p.set_defaults(handler=_cmd_attack)
-    p.add_argument(
-        "attack",
-        choices=("hctr-distinguish", "hctr-recover", "hctr-keydep", "xcb-cycle"),
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=1, help="seeds the hidden keys and all draws")
+    attack = sub.add_parser("attack", help="run an attack demonstration").add_subparsers(
+        dest="attack", required=True
     )
+    p = attack.add_parser("hctr-distinguish", parents=[seeded], help="HCTR distinguisher")
+    p.set_defaults(handler=_cmd_hctr_distinguish)
     p.add_argument("--trials", type=_int_at_least(1, _MAX_TRIALS), default=10000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--order", type=int, default=3, help="weak-key order for xcb-cycle")
-    p.add_argument("--swap", default=None, help="1-based block indices i,j for xcb-cycle")
-    p.add_argument(
-        "--mode",
-        default="xcbv2",
-        choices=modes.VARIANTS,
-        help="construction attacked by xcb-cycle",
-    )
+    p = attack.add_parser("hctr-recover", parents=[seeded], help="HCTR hash-key recovery")
+    p.set_defaults(handler=_cmd_hctr_recover)
+    p = attack.add_parser("hctr-keydep", parents=[seeded], help="HCTR key dependency")
+    p.set_defaults(handler=_cmd_hctr_keydep)
+    p = attack.add_parser("xcb-cycle", parents=[seeded], help="weak-key forgery on XCB")
+    p.set_defaults(handler=_cmd_xcb_cycle)
+    p.add_argument("--mode", default="xcbv2", choices=modes.VARIANTS, help="construction attacked")
+    p.add_argument("--order", type=int, default=3, help="weak-key order")
+    p.add_argument("--swap", default=None, help="1-based block indices i,j")
 
     p = sub.add_parser("bounds", help="print the security-bound comparison table")
     p.set_defaults(handler=_cmd_bounds)

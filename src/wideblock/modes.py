@@ -204,16 +204,16 @@ def _xcb_hash(variant: XcbVariant, keys: TesKeySet, t: bytes, t_bits: int, data:
     padded data followed by 0^128.  The second takes (tweak || 0^128)
     against the padded data and an explicit block of the two unpadded
     lengths: that is the plain hash of (tweak || 0^128, data), whose own
-    length block is that block.  Zero bits after a tweak are zero bytes
-    after its bytes, so no argument needs a shift.
+    length block is that block.  Padding is zero bits, so a 0^128 after a
+    tweak is one more zero part: no argument is copied or shifted.
     """
     if variant.version == "v1":
-        return polyhash._xcb_hash(keys.h1 if first else keys.h2, data, data_bits, t, t_bits)
+        return polyhash._xcb_hash(keys.h1 if first else keys.h2, data_bits, t_bits, data, t)
     if first:
-        padded = data + bytes(-len(data) % 16 + 16)
-        return polyhash._xcb_hash(keys.h, _ZERO_BLOCK + t, BLOCK_BITS + t_bits, padded,
-                                  8 * len(padded))
-    return polyhash._xcb_hash(keys.h, t + _ZERO_BLOCK, t_bits + BLOCK_BITS, data, data_bits)
+        padded_bits = data_bits + -data_bits % BLOCK_BITS + BLOCK_BITS
+        return polyhash._xcb_hash(keys.h, BLOCK_BITS + t_bits, padded_bits,
+                                  _ZERO_BLOCK, t, data, _ZERO_BLOCK)
+    return polyhash._xcb_hash(keys.h, t_bits + BLOCK_BITS, data_bits, t, _ZERO_BLOCK, data)
 
 
 def _xcb(variant: XcbVariant, keys: TesKeySet, tweak: BitString, payload: BitString,

@@ -200,10 +200,10 @@ def field_to_block(element: FieldElement) -> BitString:
     return BitString._of(element.to_bytes(), BLOCK_BITS)
 
 
-def _xcb_hash(h: FieldElement, x: bytes, x_bits: int, t: bytes, t_bits: int) -> int:
-    """``xcb_hash`` with its length block, on the bytes and bit lengths of
-    both arguments."""
-    return field._hash(h, x, t, ((x_bits << 64) | t_bits).to_bytes(16, "big"))
+def _xcb_hash(h: FieldElement, x_bits: int, t_bits: int, *parts: bytes) -> int:
+    """``xcb_hash`` with the length block of ``x_bits`` and ``t_bits``, over
+    x's bytes then t's, as parts that are each padded to whole blocks."""
+    return field._hash(h, *parts, ((x_bits << 64) | t_bits).to_bytes(16, "big"))
 
 
 def xcb_hash(h: FieldElement, x: BitString, t: BitString) -> FieldElement:
@@ -214,7 +214,7 @@ def xcb_hash(h: FieldElement, x: BitString, t: BitString) -> FieldElement:
     block at power one.  Either argument may be empty, in which case its
     term group vanishes; the length block is appended regardless.
     """
-    return FieldElement(_xcb_hash(h, x.data, x.bitlen, t.data, t.bitlen))
+    return FieldElement(_xcb_hash(h, x.bitlen, t.bitlen, x.data, t.data))
 
 
 def _hctr_hash(h: FieldElement, p: bytes, p_bits: int) -> int:

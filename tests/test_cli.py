@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -233,6 +235,88 @@ def test_attack_cycle_explicit_swap(capsys):
     assert "forgery_valid yes" in out
 
 
+#: SHA-256 of the whole stdout, and the exit code, of README's four attack
+#: commands and of the seeded attack commands in this file, as printed
+#: before each attack had a subparser of its own.
+_PINNED_ATTACKS = {
+    "hctr-distinguish --trials 10000 --seed 1":
+        (0, "1ee28310ec7234345f3d82c4a33f514049b923f1e68f58caa1369c80f8faa517"),
+    "hctr-recover --seed 7": (0, "3d2f3924a44d52c226f1efa7e1b727055052f9ead8970d0b40bdae82f35d5712"),
+    "hctr-keydep --seed 5": (0, "39cc3af7e4d2d7ca7620699007aac495325c97fdf4f5a4f5e92f7f13731d6697"),
+    "xcb-cycle --mode xcbv2 --order 3 --swap 1,4":
+        (0, "45ab439fbac8cfa44dbddf33ba17542a3a82d65a7355e7d92fe0aa53bc66c248"),
+    "hctr-distinguish --trials 400 --seed 3":
+        (0, "8fc65b3ca96e85a4aebeab69088e309e7ea1f3c19a5dc87cff1c636e220096ec"),
+    "hctr-distinguish --trials 50 --seed 9":
+        (0, "53503c6e61b5b0fc46a0a0c7b1c8455189ca48d497d3ab8aa416a5d2a39d58d9"),
+    "xcb-cycle --mode xcbv1 --order 3 --seed 2":
+        (0, "a03e093b7e02ba3f5e9204774f0509f836e879fb2d52a89a0328d4a00a7757b9"),
+    "xcb-cycle --mode xcbv2 --order 3 --seed 2":
+        (0, "45ab439fbac8cfa44dbddf33ba17542a3a82d65a7355e7d92fe0aa53bc66c248"),
+    "xcb-cycle --mode mxcbv1 --order 3 --seed 2":
+        (0, "9481a0cc56b9abc590c27a41cd65de4741f592c60bc6b154f26269ac5d073cfa"),
+    "xcb-cycle --mode mxcbv2 --order 3 --seed 2":
+        (0, "8b9f615d89a379fca6eb5a990b3cf86a0489618fd0c24530ebcc78cbd87f4526"),
+    "xcb-cycle --order 5 --swap 2,12 --seed 2":
+        (0, "48bf083d2d7340af85f9b58179fe2804e591df2cb5c56d7005c756ac0f0078fe"),
+}
+
+
+@pytest.mark.parametrize("command", _PINNED_ATTACKS)
+def test_attack_output_is_pinned(capsys, command):
+    code, out, _ = run(capsys, "attack", *command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _PINNED_ATTACKS[command]
+
+
+#: The options each attack reads; every other attack option is foreign to it.
+_ATTACK_OPTIONS = {
+    "hctr-distinguish": ("--trials", "--seed"),
+    "hctr-recover": ("--seed",),
+    "hctr-keydep": ("--seed",),
+    "xcb-cycle": ("--mode", "--order", "--swap", "--seed"),
+}
+_FOREIGN_VALUES = {"--trials": "5", "--mode": "mxcbv1", "--order": "5", "--swap": "1,4"}
+_FOREIGN = [
+    (attack, option)
+    for attack, own in _ATTACK_OPTIONS.items()
+    for option in _FOREIGN_VALUES
+    if option not in own
+]
+
+
+@pytest.mark.parametrize("attack", _ATTACK_OPTIONS)
+def test_each_attack_takes_exactly_the_options_it_reads(capsys, attack):
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", attack, "--help"])
+    assert exc.value.code == 0
+    options = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+    assert options == set(_ATTACK_OPTIONS[attack])
+
+
+@pytest.mark.parametrize("attack,option", _FOREIGN)
+def test_foreign_attack_option_is_a_usage_error(capsys, attack, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", attack, "--seed", "7", option, _FOREIGN_VALUES[option]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--seed", "3", "hctr-recover"),
+    ("--seed=3", "hctr-keydep"),
+    ("--trials=5", "hctr-distinguish"),
+    ("--order", "3", "xcb-cycle"),
+])
+def test_attack_options_follow_the_attack_name(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     *(("--order=3", f"--swap={swap}") for swap in (
         "1,100000000", "1,1000000", "1,65536", "0,3", "5,2", "4,4", "-1,3", "1", "1,2,3", "a,b", ",",
@@ -323,7 +407,7 @@ _OUT_OF_RANGE_COUNTS = [
     (("incsets", "--width", "32", "--rmax", "-1"), "must be at least 0"),
     (("incsets", "--width", "8", "--rmax", "-1"), "must be at least 0"),
     (("weakkey", "--h", "ff" * 16, "--max-order", "-1"), "must be at least 0"),
-    (("attack", "xcb-cycle", "--trials", str((1 << 20) + 1)), "must be at most 1048576"),
+    (("attack", "hctr-distinguish", "--trials", str((1 << 20) + 1)), "must be at most 1048576"),
     (("bounds", "--len", "0"), "must be at least 1"),
 ]
 
@@ -391,17 +475,38 @@ def _magnitudes(draw):
     return draw(st.sampled_from(["+".join(terms)] * 3 + [draw(_text)]))
 
 
-_attack = st.tuples(
-    st.just("attack"),
-    st.sampled_from(["hctr-distinguish", "hctr-recover", "hctr-keydep", "xcb-cycle"]),
-    st.builds("--trials={}".format, st.integers(min_value=-1, max_value=20) | st.just((1 << 20) + 1)),
-    st.builds("--seed={}".format, _ints(1000, 1 << 80)),
-    st.builds("--order={}".format, _orders),
-    st.builds("--mode={}".format, st.sampled_from(sorted(modes.VARIANTS))),
-).map(list) | st.builds(
-    lambda order, i, j: ["attack", "xcb-cycle", f"--order={order}", f"--swap={i},{j}"],
-    _orders, _ints(40, 100000000, *_huge), _ints(60, 100000000, *_huge),
-) | st.builds(lambda swap: ["attack", "xcb-cycle", f"--swap={swap}"], _text)
+_attack_values = {
+    "--trials": st.integers(min_value=-1, max_value=20) | st.just((1 << 20) + 1),
+    "--seed": _ints(1000, 1 << 80),
+    "--order": _orders,
+    "--mode": st.sampled_from(sorted(modes.VARIANTS)),
+    "--swap": st.builds(
+        "{},{}".format, _ints(40, 100000000, *_huge), _ints(60, 100000000, *_huge)
+    ) | _text,
+}
+
+
+@st.composite
+def _attack(draw):
+    """An attack with some of its own options; in a quarter of the draws
+    also a foreign option, and in a quarter some options before the
+    attack's name.  Either one is a usage error."""
+    name = draw(st.sampled_from(sorted(_ATTACK_OPTIONS)))
+    own = _ATTACK_OPTIONS[name]
+    options = draw(st.lists(st.sampled_from(own), unique=True))
+    foreign = sorted(set(_attack_values) - set(own))
+    options += draw(_mostly(st.just([]), st.lists(st.sampled_from(foreign), min_size=1, max_size=1)))
+    args = draw(st.permutations([f"{option}={draw(_attack_values[option])}" for option in options]))
+    before = draw(_mostly(st.just(0), st.integers(min_value=0, max_value=len(args))))
+    return ["attack", *args[:before], name, *args[before:]]
+
+
+def _misplaced_or_foreign(argv):
+    """Whether an ``attack`` argv puts an option before the attack's name,
+    or gives one that the attack does not read."""
+    own = _ATTACK_OPTIONS.get(argv[1])
+    return own is None or any(arg.split("=")[0] not in own for arg in argv[2:])
+
 
 _bounds = st.builds(
     lambda q, sigma, ell, n: ["bounds", f"--q={q}", f"--sigma={sigma}", f"--len={ell}", f"--n={n}"],
@@ -464,12 +569,14 @@ def _run_captured(argv):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_attack | _bounds | _weakkey | _incsets | _crypt(), _payloads)
+@given(_attack() | _bounds | _weakkey | _incsets | _crypt(), _payloads)
 def test_cli_contract(argv, payload):
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "in").write_bytes(payload)
         code, err = _run_captured([arg.replace("{dir}", tmp) for arg in argv])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if argv[0] == "attack" and _misplaced_or_foreign(argv):
+        assert code == 2
     if code == 1 and err:
         assert err.startswith("error:") and err.count("\n") == 1
