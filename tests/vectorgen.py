@@ -100,24 +100,26 @@ def generate() -> dict[str, list[dict]]:
 
     # The low 32 bits of the seed are 0xFFFFFFFE, so over four blocks the
     # 32-bit increment wraps while the XOR-index counter does not: the split
-    # between the two counter families that the paper analyses.
+    # between the two counter families that the paper analyses.  The long
+    # vectors (513 blocks, and 1,000 blocks less 5 bits) cross the counter's
+    # 256-block chunks from a seed 300 below the wrap, so the increment
+    # wraps inside the second chunk; they are stored as their SHAKE-256
+    # label and pinned by the SHA-256 of the output.
     key = shake("ctr/key", 16)
-    seed = shake("ctr/seed", 12) + (0xFFFFFFFE).to_bytes(4, "big")
     ctr_vectors = []
-    for counter in ("xcb_ctr", "xor_ctr"):
-        for nbits in (512, 449):
-            data = bits(shake(f"ctr/data/{nbits}", 64), nbits)
-            out = getattr(ctr, counter)(AesCipher(key), BitString(seed), data)
-            ctr_vectors.append(
-                {
-                    "counter": counter,
-                    "key": key.hex(),
-                    "seed": seed.hex(),
-                    "bits": nbits,
-                    "data": data.data.hex(),
-                    "out": out.data.hex(),
-                }
-            )
+    for low, sizes in ((0xFFFFFFFE, (512, 449)), ((1 << 32) - 300, (513 * 128, 1000 * 128 - 5))):
+        seed = shake("ctr/seed", 12) + low.to_bytes(4, "big")
+        for counter in ("xcb_ctr", "xor_ctr"):
+            for nbits in sizes:
+                label = f"ctr/data/{nbits}"
+                data = bits(shake(label, (nbits + 7) // 8), nbits)
+                out = getattr(ctr, counter)(AesCipher(key), BitString(seed), data)
+                vector = {"counter": counter, "key": key.hex(), "seed": seed.hex(), "bits": nbits}
+                if nbits <= INLINE_BITS:
+                    vector |= {"data": data.data.hex(), "out": out.data.hex()}
+                else:
+                    vector |= {"data_shake": label, "out_sha256": hashlib.sha256(out.data).hexdigest()}
+                ctr_vectors.append(vector)
     # |W_r| at the deployed 32-bit counter width for every r <= 1024.
     wide = analysis.sample_w32(W32_RMAX)
     w32_vectors = [
