@@ -9,47 +9,43 @@ XORed with the leading bits of its keystream block.
 length; the modes call it directly, and ``xcb_ctr`` and ``xor_ctr`` wrap
 it for ``BitString`` arguments.
 
-All n counter blocks are built at once as one int of n 128-bit slots, n
-copies of the seed plus the ramp 0, 1, ..., n - 1, so big-int arithmetic
-in C does per-block work that would otherwise be a Python step a block.
-The payloads the modes accept (at most 2^39 bits) have n < 2^32 blocks.
+The data is enciphered a chunk of ``field._CHUNK_BLOCKS`` blocks at a
+time, the chunk the hash's block iterator uses, so a call holds one
+chunk's counter and keystream ints however long the data.  A chunk's
+counter blocks are one int of n 128-bit slots, built in C from two
+constant strings of slots (every slot 1, and the ramp 0, 1, 2, ...) cut
+to the chunk's n slots.  ``_counter_blocks`` builds them from any block
+index, so the keystream can be had at random access.  The payloads the
+modes accept (at most 2^39 bits) have fewer than 2^32 blocks.
 """
 
 from __future__ import annotations
 
 from .blockcipher import BadBlockLength, BlockCipher
+from .field import _CHUNK_BLOCKS
 from .polyhash import BitString
 
 _LOW32 = 0xFFFFFFFF
 
-
-def _ones_and_ramp(n: int) -> tuple[int, int]:
-    """Two ints of n 128-bit slots, slot 0 the most significant: every slot
-    of ``ones`` holds 1 and slot i of ``ramp`` holds i.
-
-    Both are doubled from one slot, k slots to 2k (the second half of the
-    ramp holds k more than the first), to the first power of two k >= n,
-    and cut to their first n slots.  That is a few big-int passes over
-    the result, not one Python step per block.
-    """
-    ones, ramp, k = 1, 0, 1
-    while k < n:
-        ramp = (ramp << 128 * k) + ramp + k * ones
-        ones |= ones << 128 * k
-        k *= 2
-    return ones >> 128 * (k - n), ramp >> 128 * (k - n)
+#: ``_CHUNK_BLOCKS`` 128-bit slots, slot 0 the most significant: every
+#: slot of ``_ONES`` holds 1 and slot i of ``_RAMP`` holds i.
+_ONES = int.from_bytes((1).to_bytes(16, "big") * _CHUNK_BLOCKS, "big")
+_RAMP = int.from_bytes(b"".join(i.to_bytes(16, "big") for i in range(_CHUNK_BLOCKS)), "big")
 
 
-def _counter_blocks(seed: int, n: int, inc32: bool) -> bytes:
-    """The n counter blocks from the 128-bit seed, built as one int of n
-    slots: seed + i in slot i for inc32, less 2^32 in the slots after the
-    low 32 bits wrap (once at most, since n < 2^32), and seed xor (i + 1)
-    for the XOR-index family."""
-    ones, ramp = _ones_and_ramp(n)
+def _counter_blocks(seed: int, start: int, n: int, inc32: bool) -> bytes:
+    """Counter blocks start, ..., start + n - 1 (0-based, n at most
+    ``_CHUNK_BLOCKS``) from the 128-bit seed, as one int of n slots: for
+    inc32, seed + start + i with the sum taken modulo 2^32 in the low 32
+    bits, so less 2^32 in the slots after those bits wrap (once at most in
+    a chunk); for the XOR-index family, seed xor (start + i + 1)."""
+    cut = 128 * (_CHUNK_BLOCKS - n)
+    ones, ramp = _ONES >> cut, _RAMP >> cut
     if not inc32:
-        return (seed * ones ^ (ramp + ones)).to_bytes(16 * n, "big")
-    counters = seed * ones + ramp
-    wrapped = (seed & _LOW32) + n - (1 << 32)
+        return (seed * ones ^ ramp + (start + 1) * ones).to_bytes(16 * n, "big")
+    low = (seed + start) & _LOW32
+    counters = (seed >> 32 << 32 | low) * ones + ramp
+    wrapped = low + n - (1 << 32)
     if wrapped > 0:
         counters -= ones >> 128 * (n - wrapped) << 32
     return counters.to_bytes(16 * n, "big")
@@ -59,13 +55,18 @@ def _ctr(cipher: BlockCipher, seed: int, data: bytes, bitlen: int, inc32: bool) 
     """data XOR the keystream from the 128-bit seed: the 32-bit-increment
     family if inc32, else the XOR-index family.  data holds bitlen bits
     left-aligned with a zero tail, and so does the result."""
-    n = len(data)
-    tail = 8 * n - bitlen
-    ks = cipher.encrypt_blocks(_counter_blocks(seed, (bitlen + 127) // 128, inc32))
-    ks = int.from_bytes(ks[:n], "big")
-    if tail:
-        ks = ks >> tail << tail
-    return (int.from_bytes(data, "big") ^ ks).to_bytes(n, "big")
+    n, tail = len(data), -bitlen % 8
+    size = 16 * _CHUNK_BLOCKS
+    out = []
+    start = 0
+    while start < n:
+        chunk = data[start : start + size]
+        m = len(chunk)
+        ks = cipher.encrypt_blocks(_counter_blocks(seed, start >> 4, (m + 15) >> 4, inc32))
+        x = int.from_bytes(chunk, "big") ^ int.from_bytes(ks[:m], "big")
+        start += m
+        out.append((x >> tail << tail if start == n else x).to_bytes(m, "big"))
+    return b"".join(out)
 
 
 def _seed(s: BitString) -> int:

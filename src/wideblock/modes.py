@@ -21,9 +21,9 @@ derivation and its cipher call.
 tweak's bytes and bit lengths, holds the special block, the hash values and
 the counter seed as 128-bit ints, hashes through ``polyhash``'s private
 bytes-level entry points, runs the counter through ``ctr._ctr``, and builds
-its result with one ``BitString._of``.  Only a v2 payload whose length is
-not a whole number of bytes needs a bit shift to split, and only a rest or
-tweak of that kind needs one to join (``polyhash._cat``).
+its result with one ``BitString._of``.  A v2 payload splits through the
+int of its last 17 bytes, shifted by its tail bits, and only a rest or
+tweak that is not whole bytes needs a bit shift to join (``polyhash._cat``).
 """
 
 from __future__ import annotations
@@ -235,17 +235,12 @@ def _xcb(variant: XcbVariant, keys: TesKeySet, tweak: BitString, payload: BitStr
     data, rest_bits = payload.data, n - BLOCK_BITS
     if not variant.special_last:
         x, rest = data[:16], data[16:]
-    elif n % 8:
+    else:
         x = ((int.from_bytes(data[-17:], "big") >> (-n % 8)) & _MASK128).to_bytes(16, "big")
         rest = _mask_tail(data[: (rest_bits + 7) // 8], rest_bits)
-    else:
-        x, rest = data[-16:], data[:-16]
     s = int.from_bytes(e.encrypt_block(x), "big")
     s ^= _xcb_hash(variant, keys, t, t_bits, rest, rest_bits, forward)
-    if rest_bits:
-        out = ctr._ctr(keys.kc, s, rest, rest_bits, variant.counter_family == "inc32")
-    else:
-        out = rest
+    out = ctr._ctr(keys.kc, s, rest, rest_bits, variant.counter_family == "inc32")
     s ^= _xcb_hash(variant, keys, t, t_bits, out, rest_bits, not forward)
     y = d.decrypt_block(s.to_bytes(16, "big"))
     if variant.special_last:
@@ -288,7 +283,7 @@ def _hctr(keys: TesKeySet, tweak: BitString, payload: BitString, fixed_hash: boo
     u = int.from_bytes(data[:16], "big")
     u ^= hash_fn(keys.h, _cat(rest, rest_bits, t, t_bits), rest_bits + t_bits)
     v = int.from_bytes(pi(u.to_bytes(16, "big")), "big")
-    out = ctr._ctr(keys.k, u ^ v, rest, rest_bits, False) if rest_bits else rest
+    out = ctr._ctr(keys.k, u ^ v, rest, rest_bits, False)
     v ^= hash_fn(keys.h, _cat(out, rest_bits, t, t_bits), rest_bits + t_bits)
     return BitString._of(v.to_bytes(16, "big") + out, n)
 

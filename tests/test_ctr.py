@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,7 @@ from gfref import ctr_blockwise, inc
 from wideblock import ctr
 from wideblock.blockcipher import AesCipher, BadBlockLength, FeistelCipher
 from wideblock.ctr import xcb_ctr, xor_ctr
+from wideblock.field import _CHUNK_BLOCKS
 from wideblock.polyhash import BitString
 
 rng = random.Random(0xC7)
@@ -98,14 +100,15 @@ def test_seed_must_be_full_block():
 # All counter blocks at once against the block-at-a-time reference
 
 _FAMILIES = [(xcb_ctr, True), (xor_ctr, False)]
-_BLOCK_COUNTS = [1, 2, 16, 255, 256, 257]
+_BLOCK_COUNTS = [1, 2, 16, 255, 256, 257, 511, 512, 513, 1000]
 aes = AesCipher(bytes(range(16)))
 
 
 @pytest.mark.parametrize("transform,inc32", _FAMILIES, ids=["inc32", "xor_index"])
 @pytest.mark.parametrize("nblocks", _BLOCK_COUNTS)
 def test_counter_matches_the_blockwise_reference(transform, inc32, nblocks):
-    """Whole final blocks and final blocks of 1-127 bits."""
+    """Whole final blocks and final blocks of 1-127 bits, in the first
+    chunk and across chunk boundaries."""
     r = random.Random(nblocks)
     s = BitString.from_int(r.getrandbits(128), 128)
     for tail in (128, 1, 64, 127, r.randrange(2, 127)):
@@ -117,15 +120,53 @@ def test_counter_matches_the_blockwise_reference(transform, inc32, nblocks):
 @pytest.mark.parametrize("nblocks", _BLOCK_COUNTS)
 def test_inc32_wraps_its_low_lanes(nblocks):
     """Seeds whose low 32 bits lie within nblocks of 2^32, so the counter
-    wraps inside the message (except at one block), and the top 96 bits of
-    every counter block stay those of the seed."""
+    wraps inside the message (except at one block), in the first chunk or
+    a later one, and the top 96 bits of every counter block stay those of
+    the seed."""
     r = random.Random(nblocks)
     high = r.getrandbits(96) << 32
-    for distance in sorted({1, max(1, nblocks // 2), nblocks - 1 or 1, nblocks}):
+    distances = {1, max(1, nblocks // 2), nblocks - 1 or 1, nblocks}
+    if nblocks > _CHUNK_BLOCKS:
+        distances.add(r.randrange(_CHUNK_BLOCKS + 1, nblocks + 1))
+    for distance in sorted(distances):
         s = BitString.from_int(high | ((1 << 32) - distance), 128)
         data = BitString.from_int(r.getrandbits(128 * nblocks - 5), 128 * nblocks - 5)
         assert xcb_ctr(aes, s, data) == ctr_blockwise(aes, s, data, True)
-        blocks = ctr._counter_blocks(s.to_int(), nblocks, True)
+        blocks = b"".join(
+            ctr._counter_blocks(s.to_int(), start, min(_CHUNK_BLOCKS, nblocks - start), True)
+            for start in range(0, nblocks, _CHUNK_BLOCKS)
+        )
         lows = [int.from_bytes(blocks[16 * i + 12 : 16 * i + 16], "big") for i in range(nblocks)]
         assert lows == [((1 << 32) - distance + i) % (1 << 32) for i in range(nblocks)]
         assert {blocks[16 * i : 16 * i + 12] for i in range(nblocks)} == {s.data[:12]}
+
+
+@pytest.mark.parametrize("inc32", [True, False], ids=["inc32", "xor_index"])
+def test_counter_blocks_give_the_keystream_at_any_block(inc32):
+    """Blocks start..start+n-1 of the whole message's keystream (the counter
+    over zero data) are the encipherment of ``_counter_blocks(seed, start,
+    n, inc32)``, for any start and any n up to a chunk, wraps included."""
+    r = random.Random(0xC0 + inc32)
+    total = 1000
+    for low in (r.getrandbits(32), (1 << 32) - r.randrange(1, total)):
+        seed = r.getrandbits(96) << 32 | low
+        keystream = ctr._ctr(aes, seed, bytes(16 * total), 128 * total, inc32)
+        for n in (1, 2, r.randrange(3, _CHUNK_BLOCKS), _CHUNK_BLOCKS):
+            start = r.randrange(total - n + 1)
+            blocks = aes.encrypt_blocks(ctr._counter_blocks(seed, start, n, inc32))
+            assert blocks == keystream[16 * start : 16 * (start + n)]
+
+
+@pytest.mark.parametrize("inc32", [True, False], ids=["inc32", "xor_index"])
+def test_counter_memory_is_bounded_by_a_chunk(inc32):
+    """A 4 MiB counter call holds one chunk of counter and keystream ints
+    besides its output: its traced peak is under 10 MiB, where building
+    every counter block at once peaked at 17-21 MiB."""
+    data = bytes(4 << 20)
+    tracemalloc.start()
+    try:
+        ctr._ctr(aes, 2**128 - 1, data, 8 * len(data), inc32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 << 20

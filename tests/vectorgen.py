@@ -118,7 +118,8 @@ def generate() -> dict[str, list[dict]]:
                 if nbits <= INLINE_BITS:
                     vector |= {"data": data.data.hex(), "out": out.data.hex()}
                 else:
-                    vector |= {"data_shake": label, "out_sha256": hashlib.sha256(out.data).hexdigest()}
+                    digest = hashlib.sha256(out.data).hexdigest()
+                    vector |= {"data_shake": label, "out_sha256": digest}
                 ctr_vectors.append(vector)
     # |W_r| at the deployed 32-bit counter width for every r <= 1024.
     wide = analysis.sample_w32(W32_RMAX)
