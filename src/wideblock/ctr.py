@@ -15,8 +15,7 @@ chunk's counter and keystream ints however long the data.  A chunk's
 counter blocks are one int of n 128-bit slots, built in C from two
 constant strings of slots (every slot 1, and the ramp 0, 1, 2, ...) cut
 to the chunk's n slots.  ``_counter_blocks`` builds them from any block
-index, so the keystream can be had at random access.  The payloads the
-modes accept (at most 2^39 bits) have fewer than 2^32 blocks.
+index, so the keystream can be had at random access.
 """
 
 from __future__ import annotations
@@ -54,7 +53,8 @@ def _counter_blocks(seed: int, start: int, n: int, inc32: bool) -> bytes:
 def _ctr(cipher: BlockCipher, seed: int, data: bytes, bitlen: int, inc32: bool) -> bytes:
     """data XOR the keystream from the 128-bit seed: the 32-bit-increment
     family if inc32, else the XOR-index family.  data holds bitlen bits
-    left-aligned with a zero tail, and so does the result."""
+    left-aligned with a zero tail, and so does the result: the tail is
+    cleared in the last chunk, which holds the partial block."""
     n, tail = len(data), -bitlen % 8
     size = 16 * _CHUNK_BLOCKS
     out = []

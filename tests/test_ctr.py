@@ -97,7 +97,7 @@ def test_seed_must_be_full_block():
 
 
 # ---------------------------------------------------------------------------
-# All counter blocks at once against the block-at-a-time reference
+# The chunked counter against the block-at-a-time reference
 
 _FAMILIES = [(xcb_ctr, True), (xor_ctr, False)]
 _BLOCK_COUNTS = [1, 2, 16, 255, 256, 257, 511, 512, 513, 1000]
@@ -127,7 +127,7 @@ def test_inc32_wraps_its_low_lanes(nblocks):
     high = r.getrandbits(96) << 32
     distances = {1, max(1, nblocks // 2), nblocks - 1 or 1, nblocks}
     if nblocks > _CHUNK_BLOCKS:
-        distances.add(r.randrange(_CHUNK_BLOCKS + 1, nblocks + 1))
+        distances.add(r.randrange(_CHUNK_BLOCKS, nblocks))
     for distance in sorted(distances):
         s = BitString.from_int(high | ((1 << 32) - distance), 128)
         data = BitString.from_int(r.getrandbits(128 * nblocks - 5), 128 * nblocks - 5)
