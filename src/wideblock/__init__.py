@@ -7,8 +7,8 @@ from .modes import (
     MXCBV2,
     XCBV1,
     XCBV2,
+    Mode,
     TesKeySet,
-    XcbVariant,
     derive_keys_v1,
     derive_keys_v2,
     hctr_decrypt,
@@ -30,10 +30,10 @@ __all__ = [
     "FieldElement",
     "MXCBV1",
     "MXCBV2",
+    "Mode",
     "TesKeySet",
     "XCBV1",
     "XCBV2",
-    "XcbVariant",
     "derive_keys_v1",
     "derive_keys_v2",
     "hctr_decrypt",

@@ -16,10 +16,11 @@ Implemented attacks:
 * HCTR key-dependency recovery -- with the block-cipher key compromised,
   a single known plaintext of the form x||x pins (x xor C2)*h^2 to a
   computable constant, solved exactly for the hash key.
-* XCB cycling forgery -- with a hash key of small multiplicative order t,
+* Cycling forgery -- with a hash key of small multiplicative order t,
   swapping plaintext blocks at distance t leaves both hash layers fixed,
   so the keystream recovered from one known pair re-encrypts the swapped
-  message without the key.
+  message without the key.  Every mode's hashes are Horner sums in their
+  key, so it forges HCTR too, with the repaired hash or without.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import NamedTuple, Optional
 from . import field, modes
 from .blockcipher import BlockCipher
 from .field import FieldElement
-from .modes import TesKeySet, XcbVariant
+from .modes import Mode, TesKeySet
 from .polyhash import BLOCK_BITS, BitString, block_to_field, field_to_block, hctr_hash
 
 # pad of a single 1 bit: the x^127 monomial, and its inverse x^-127
@@ -263,7 +264,7 @@ def swap_blocks(data: BitString, i: int, j: int) -> BitString:
 
 
 def xcb_cycling_forge(
-    variant: XcbVariant,
+    mode: Mode,
     tweak: BitString,
     plaintext: BitString,
     ciphertext: BitString,
@@ -274,7 +275,7 @@ def xcb_cycling_forge(
 
     Requires one known (tweak, plaintext, ciphertext) triple.  Blocks i and
     j (1-based, j-i a multiple of weak_order) must both lie in the counter
-    span of the variant.  When every hash key of the hidden key set has
+    span of the mode.  When every hash key of the hidden key set has
     multiplicative order dividing j-i, both hash layers are unchanged by
     the swap, the keystream P xor C carries over, and the forgery
     C xor P xor swap(P) equals the true encryption of the swapped
@@ -289,7 +290,7 @@ def xcb_cycling_forge(
     if weak_order < 1 or (j - i) % weak_order != 0:
         raise ValueError(f"swap distance {j - i} is not a multiple of {weak_order}")
     m = (plaintext.bitlen + BLOCK_BITS - 1) // BLOCK_BITS
-    span = variant.counter_span(m)
+    span = mode.counter_span(m)
     if i not in span or j not in span:
         raise IndexOutOfSpan(
             f"blocks {i},{j} outside counter span {span.start}..{span.stop - 1}"

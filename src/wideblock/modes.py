@@ -14,8 +14,8 @@ XCB enciphers then adds: S = E(x) xor H, the counter from S, output
 D(S xor H').  HCTR adds then enciphers: U = x xor H, V = pi(U), the counter
 from U xor V, output V xor H'.  Each body serves both directions: XCB
 decrypts with Ke and Kd swapped and the two hashes in the other order, HCTR
-with pi = D in place of E.  ``MODES`` maps each mode name to its key
-derivation and its cipher call.
+with pi = D in place of E.  ``MODES`` maps each mode name to its ``Mode``,
+which gives its key derivation and its cipher call.
 
 ``BitString`` appears only at the edge.  A body reads the payload's and the
 tweak's bytes and bit lengths, holds the special block, the hash values and
@@ -24,6 +24,7 @@ bytes-level entry points, runs the counter through ``ctr._ctr``, and builds
 its result with one ``BitString._of``.  A v2 payload splits through the
 int of its last 17 bytes, shifted by its tail bits, and only a rest or
 tweak that is not whole bytes needs a bit shift to join (``polyhash._cat``).
+HCTR hashes its rest in place, through a ``memoryview``.
 """
 
 from __future__ import annotations
@@ -53,21 +54,22 @@ class PartialBlockRejected(ValueError):
     attack) without the explicit insecure-mode flag."""
 
 
-class XcbVariant(NamedTuple):
-    """An XCB family member: construction version plus counter family."""
+class Mode(NamedTuple):
+    """A mode: the scheme of its key set, its counter family (the 32-bit
+    increment if ``inc32``, else the XOR index) and, for HCTR, its hash.
+    The methods look this module's functions up when called, so a tracer
+    that rebinds the module's names also sees calls made through ``MODES``.
+    """
 
-    version: str  # "v1" | "v2"
-    counter_family: str  # "inc32" | "xor_index"
-
-    @property
-    def name(self) -> str:
-        prefix = "xcb" if self.counter_family == "inc32" else "mxcb"
-        return prefix + self.version
+    name: str
+    scheme: str  # "xcbv1" | "xcbv2" | "hctr"
+    inc32: bool = False
+    fixed_hash: bool = False
 
     @property
     def special_last(self) -> bool:
-        """Where the special block sits: last in v2, first in v1."""
-        return self.version == "v2"
+        """Where the special block sits: last in XCB v2, first otherwise."""
+        return self.scheme == "xcbv2"
 
     def counter_span(self, m: int) -> range:
         """1-based indices of the blocks the counter layer covers in an
@@ -75,13 +77,32 @@ class XcbVariant(NamedTuple):
         start = 1 if self.special_last else 2
         return range(start, start + m - 1)
 
+    def derive(self, master: bytes) -> TesKeySet:
+        """The mode's key set from its master key."""
+        derive = {"xcbv1": derive_keys_v1, "xcbv2": derive_keys_v2, "hctr": hctr_keys}
+        return derive[self.scheme](master)
 
-XCBV1 = XcbVariant("v1", "inc32")
-XCBV2 = XcbVariant("v2", "inc32")
-MXCBV1 = XcbVariant("v1", "xor_index")
-MXCBV2 = XcbVariant("v2", "xor_index")
+    def crypt(self, keys: TesKeySet, tweak: BitString, payload: BitString, encrypt: bool,
+              allow_partial: bool) -> BitString:
+        """Encipher or decipher; ``allow_partial`` matters only to XCB v2."""
+        if self.scheme == "hctr":
+            fn = hctr_encrypt if encrypt else hctr_decrypt
+            return fn(keys, tweak, payload, self.fixed_hash)
+        fn = xcb_encrypt if encrypt else xcb_decrypt
+        return fn(self, keys, tweak, payload, allow_partial)
 
-VARIANTS = {v.name: v for v in (XCBV1, XCBV2, MXCBV1, MXCBV2)}
+
+XCBV1 = Mode("xcbv1", "xcbv1", inc32=True)
+XCBV2 = Mode("xcbv2", "xcbv2", inc32=True)
+MXCBV1 = Mode("mxcbv1", "xcbv1")
+MXCBV2 = Mode("mxcbv2", "xcbv2")
+
+#: Every mode by name, in the order the CLI lists them.
+MODES = {m.name: m for m in (XCBV1, XCBV2, MXCBV1, MXCBV2, Mode("hctr", "hctr"),
+                             Mode("hctr-fix", "hctr", fixed_hash=True))}
+
+#: The four XCB-family modes, the ones ``xcb_encrypt`` takes.
+VARIANTS = {n: m for n, m in MODES.items() if m.scheme != "hctr"}
 
 
 class TesKeySet(NamedTuple):
@@ -195,7 +216,7 @@ def _require_scheme(keys: TesKeySet, scheme: str) -> None:
         raise ValueError(f"key set is for {keys.scheme!r}, expected {scheme!r}")
 
 
-def _xcb_hash(variant: XcbVariant, keys: TesKeySet, t: bytes, t_bits: int, data: bytes,
+def _xcb_hash(variant: Mode, keys: TesKeySet, t: bytes, t_bits: int, data: bytes,
               data_bits: int, first: bool) -> int:
     """The first or the second hash value of an XCB variant over data.
 
@@ -207,7 +228,7 @@ def _xcb_hash(variant: XcbVariant, keys: TesKeySet, t: bytes, t_bits: int, data:
     length block is that block.  Padding is zero bits, so a 0^128 after a
     tweak is one more zero part: no argument is copied or shifted.
     """
-    if variant.version == "v1":
+    if variant.scheme == "xcbv1":
         return polyhash._xcb_hash(keys.h1 if first else keys.h2, data_bits, t_bits, data, t)
     if first:
         padded_bits = data_bits + -data_bits % BLOCK_BITS + BLOCK_BITS
@@ -216,16 +237,18 @@ def _xcb_hash(variant: XcbVariant, keys: TesKeySet, t: bytes, t_bits: int, data:
     return polyhash._xcb_hash(keys.h, t_bits + BLOCK_BITS, data_bits, t, _ZERO_BLOCK, data)
 
 
-def _xcb(variant: XcbVariant, keys: TesKeySet, tweak: BitString, payload: BitString,
+def _xcb(variant: Mode, keys: TesKeySet, tweak: BitString, payload: BitString,
          allow_partial: bool, forward: bool) -> BitString:
     """Both directions of an XCB variant, behind the scheme, bounds and
     v2-alignment checks: S = E(x) xor H(rest), the counter from S over the
     rest, then y = D(S xor H'(out)).  Decryption swaps Ke with Kd and the
     first hash with the second."""
-    _require_scheme(keys, "xcb" + variant.version)
+    if variant.scheme == "hctr":
+        raise ValueError(f"{variant.name} is not an XCB mode")
+    _require_scheme(keys, variant.scheme)
     _check_bounds(tweak, payload)
     n = payload.bitlen
-    if variant.version == "v2" and n % BLOCK_BITS and not allow_partial:
+    if variant.special_last and n % BLOCK_BITS and not allow_partial:
         raise PartialBlockRejected(
             "this variant is insecure for payloads that are not a multiple of "
             "128 bits; pass the explicit insecure-mode flag to force it"
@@ -240,7 +263,7 @@ def _xcb(variant: XcbVariant, keys: TesKeySet, tweak: BitString, payload: BitStr
         rest = _mask_tail(data[: (rest_bits + 7) // 8], rest_bits)
     s = int.from_bytes(e.encrypt_block(x), "big")
     s ^= _xcb_hash(variant, keys, t, t_bits, rest, rest_bits, forward)
-    out = ctr._ctr(keys.kc, s, rest, rest_bits, variant.counter_family == "inc32")
+    out = ctr._ctr(keys.kc, s, rest, rest_bits, variant.inc32)
     s ^= _xcb_hash(variant, keys, t, t_bits, out, rest_bits, not forward)
     y = d.decrypt_block(s.to_bytes(16, "big"))
     if variant.special_last:
@@ -249,7 +272,7 @@ def _xcb(variant: XcbVariant, keys: TesKeySet, tweak: BitString, payload: BitStr
 
 
 def xcb_encrypt(
-    variant: XcbVariant,
+    variant: Mode,
     keys: TesKeySet,
     tweak: BitString,
     payload: BitString,
@@ -259,7 +282,7 @@ def xcb_encrypt(
 
 
 def xcb_decrypt(
-    variant: XcbVariant,
+    variant: Mode,
     keys: TesKeySet,
     tweak: BitString,
     payload: BitString,
@@ -275,16 +298,15 @@ def _hctr(keys: TesKeySet, tweak: BitString, payload: BitString, fixed_hash: boo
     y = V xor H(out || T), with pi = E to encrypt and D to decrypt."""
     _require_scheme(keys, "hctr")
     _check_bounds(tweak, payload)
-    hash_fn = polyhash._hctr_hash_fixed if fixed_hash else polyhash._hctr_hash
     pi = keys.k.encrypt_block if forward else keys.k.decrypt_block
     t, t_bits = tweak.data, tweak.bitlen
     data, n = payload.data, payload.bitlen
-    rest, rest_bits = data[16:], n - BLOCK_BITS
+    rest, rest_bits = memoryview(data)[16:], n - BLOCK_BITS
     u = int.from_bytes(data[:16], "big")
-    u ^= hash_fn(keys.h, _cat(rest, rest_bits, t, t_bits), rest_bits + t_bits)
+    u ^= polyhash._hctr_hash(keys.h, fixed_hash, rest, rest_bits, t, t_bits)
     v = int.from_bytes(pi(u.to_bytes(16, "big")), "big")
     out = ctr._ctr(keys.k, u ^ v, rest, rest_bits, False)
-    v ^= hash_fn(keys.h, _cat(out, rest_bits, t, t_bits), rest_bits + t_bits)
+    v ^= polyhash._hctr_hash(keys.h, fixed_hash, out, rest_bits, t, t_bits)
     return BitString._of(v.to_bytes(16, "big") + out, n)
 
 
@@ -304,36 +326,3 @@ def hctr_decrypt(
     fixed_hash: bool = False,
 ) -> BitString:
     return _hctr(keys, tweak, payload, fixed_hash, forward=False)
-
-
-class Mode(NamedTuple):
-    """A ``MODES`` entry: an XCB variant, or HCTR (``variant`` None) with or
-    without the repaired hash.
-
-    The methods look this module's functions up when called, never hold
-    references taken at import, so a tracer that rebinds the module's names
-    also sees calls made through the registry.
-    """
-
-    variant: Optional[XcbVariant] = None
-    fixed_hash: bool = False
-
-    def derive(self, master: bytes) -> TesKeySet:
-        """The mode's key set from its master key."""
-        if self.variant is None:
-            return hctr_keys(master)
-        return derive_keys_v1(master) if self.variant.version == "v1" else derive_keys_v2(master)
-
-    def crypt(self, keys: TesKeySet, tweak: BitString, payload: BitString, encrypt: bool,
-              allow_partial: bool) -> BitString:
-        """Encipher or decipher; ``allow_partial`` matters only to the v2 variants."""
-        if self.variant is None:
-            fn = hctr_encrypt if encrypt else hctr_decrypt
-            return fn(keys, tweak, payload, self.fixed_hash)
-        fn = xcb_encrypt if encrypt else xcb_decrypt
-        return fn(self.variant, keys, tweak, payload, allow_partial)
-
-
-#: Every mode by name, in the order the CLI lists them.
-MODES = {name: Mode(variant) for name, variant in VARIANTS.items()}
-MODES |= {"hctr": Mode(), "hctr-fix": Mode(fixed_hash=True)}

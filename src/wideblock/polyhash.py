@@ -17,13 +17,14 @@ table from there on, whose larger build pays off only over long inputs.
 Lookups in either table are key-dependent memory accesses: the hash is not
 constant time.
 
-Each hash has a private entry point on bytes and bit lengths
-(``_xcb_hash``, ``_hctr_hash``, ``_hctr_hash_fixed``) that returns the
-hash value as an int; the public functions are thin wrappers that take
+Each family has a private entry point (``_xcb_hash``, ``_hctr_hash``) that
+takes its inputs as parts, bytes with bit lengths, and returns the hash
+value as an int; the public functions are thin wrappers that take
 ``BitString`` arguments and return a ``FieldElement``.  The modes call the
-private entry points, so they hold plain ints and bytes inside and make one
-``BitString`` per result.  ``_cat`` joins two bit strings' bytes at any bit
-offset: a plain join on a byte boundary, one shift otherwise.
+private entry points, so they hold plain ints and bytes inside, hash the
+payload where it lies, and make one ``BitString`` per result.  ``_cat``
+joins two bit strings' bytes at any bit offset: a plain join on a byte
+boundary, one shift otherwise.
 
 The public ``BitString`` constructor converts its data to ``bytes`` and
 checks the length and the zero tail.  Results that meet both by
@@ -217,22 +218,27 @@ def xcb_hash(h: FieldElement, x: BitString, t: BitString) -> FieldElement:
     return FieldElement(_xcb_hash(h, x.bitlen, t.bitlen, x.data, t.data))
 
 
-def _hctr_hash(h: FieldElement, p: bytes, p_bits: int) -> int:
-    """``hctr_hash`` on the bytes and bit length of p."""
-    if p_bits == 0:
+def _hctr_hash(h: FieldElement, fixed: bool, p: bytes, p_bits: int, t: bytes,
+               t_bits: int) -> int:
+    """``hctr_hash`` of p || t, or ``hctr_hash_fixed`` if ``fixed``, on the
+    bytes and bit lengths of p and t, without joining them: p's whole
+    blocks, if any, are hashed in place, and only its partial last block is
+    joined to t, the repaired hash's 1 bit, the padding and the length block."""
+    n = p_bits + t_bits + fixed
+    if n == 0:
         return h.value
-    return field._hash(h, p, p_bits.to_bytes(16, "big"))
-
-
-def _hctr_hash_fixed(h: FieldElement, p: bytes, p_bits: int) -> int:
-    """``hctr_hash_fixed`` on the bytes and bit length of p."""
-    return _hctr_hash(h, _cat(p, p_bits, b"\x80", 1), p_bits + 1)
+    if fixed:
+        t, t_bits = _cat(t, t_bits, b"\x80", 1), t_bits + 1
+    whole = p_bits >> 7 << 4
+    tail = _cat(bytes(p[whole:]), p_bits - 8 * whole, t, t_bits)
+    tail += bytes(-len(tail) % 16) + n.to_bytes(16, "big")
+    return field._hash(h, memoryview(p)[:whole], tail) if whole else field._hash(h, tail)
 
 
 def hctr_hash(h: FieldElement, p: BitString) -> FieldElement:
     """HCTR polynomial hash: the bare key for the empty string, otherwise
     blocks at powers m+1..2 with the bit length at power one."""
-    return FieldElement(_hctr_hash(h, p.data, p.bitlen))
+    return FieldElement(_hctr_hash(h, False, p.data, p.bitlen, b"", 0))
 
 
 def hctr_hash_fixed(h: FieldElement, p: BitString) -> FieldElement:
@@ -242,4 +248,4 @@ def hctr_hash_fixed(h: FieldElement, p: BitString) -> FieldElement:
     between the empty string and a single 0 bit, whose images both equal the
     bare key under the original definition.
     """
-    return FieldElement(_hctr_hash_fixed(h, p.data, p.bitlen))
+    return FieldElement(_hctr_hash(h, True, p.data, p.bitlen, b"", 0))

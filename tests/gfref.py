@@ -243,7 +243,7 @@ def _split(data: BitString, special_last: bool) -> tuple[BitString, BitString]:
 
 
 def _xcb_hash(variant, keys, tweak: BitString, blocks: BitString, first: bool) -> BitString:
-    if variant.version == "v1":
+    if variant.scheme == "xcbv1":
         return field_to_block(xcb_hash(keys.h1 if first else keys.h2, blocks, tweak))
     if first:
         x = concat(_BLOCK, tweak)
@@ -259,7 +259,7 @@ def xcb_crypt(variant, keys, tweak: BitString, payload: BitString, forward: bool
     e, d = (keys.ke, keys.kd) if forward else (keys.kd, keys.ke)
     x, rest = _split(payload, variant.special_last)
     s = BitString(e.encrypt_block(x.data)) ^ _xcb_hash(variant, keys, tweak, rest, forward)
-    counter = ctr.xcb_ctr if variant.counter_family == "inc32" else ctr.xor_ctr
+    counter = ctr.xcb_ctr if variant.inc32 else ctr.xor_ctr
     out = counter(keys.kc, s, rest) if rest.bitlen else rest
     h_out = _xcb_hash(variant, keys, tweak, out, not forward)
     y = BitString(d.decrypt_block((s ^ h_out).data))

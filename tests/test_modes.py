@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,9 @@ from wideblock.modes import (
     XCBV1,
     XCBV2,
     LengthBounds,
+    Mode,
     PartialBlockRejected,
     TesKeySet,
-    XcbVariant,
     derive_keys_v1,
     derive_keys_v2,
     hctr_decrypt,
@@ -116,7 +117,7 @@ def test_derive_v2_192():
 @pytest.mark.parametrize("variant", V1_VARIANTS + V2_VARIANTS)
 @pytest.mark.parametrize("nbytes", [16, 32, 256, 4096])
 def test_xcb_round_trip_bytes(variant, nbytes):
-    keys = fresh_v1_keys() if variant.version == "v1" else fresh_v2_keys()
+    keys = fresh_v1_keys() if variant.scheme == "xcbv1" else fresh_v2_keys()
     for _ in range(3):
         tweak = rand_bits(rng.choice([0, 64, 128, 256]))
         payload = BitString(rng.randbytes(nbytes))
@@ -147,6 +148,24 @@ def test_hctr_round_trip(fixed, nbits):
     assert hctr_decrypt(keys, tweak, c, fixed_hash=fixed) == payload
 
 
+@pytest.mark.parametrize("name", ["hctr", "hctr-fix"])
+def test_hctr_holds_no_joined_copy_of_the_payload(name):
+    """A 1 MiB HCTR call allocates its output and the counter's output, and
+    little beyond: both hashes read the payload in place and join only its
+    partial last block to the tweak.  The zero hash key keeps the hash's
+    products out of the trace (every one is the cached int 0)."""
+    mode = modes.MODES[name]
+    keys = mode.derive(random.Random(1).randbytes(16) + bytes(16))
+    payload = BitString(random.Random(2).randbytes(1 << 20))
+    tracemalloc.start()
+    try:
+        mode.crypt(keys, BitString(b"\x00\x19"), payload, True, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (1 << 20)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(list(modes.MODES)),
@@ -159,7 +178,7 @@ def test_round_trip_property(name, nbits, tweak_bits, draw):
     example also runs the leading 128 bits alone, where the counter layer is
     skipped; the v2 variants get the insecure-mode flag off block boundaries."""
     mode = modes.MODES[name]
-    keys = mode.derive(draw.randbytes(16 if mode.variant else 32))
+    keys = mode.derive(draw.randbytes(32 if mode.scheme == "hctr" else 16))
     tweak = BitString.from_int(draw.getrandbits(tweak_bits), tweak_bits)
     payload = BitString.from_int(draw.getrandbits(nbits), nbits)
     for p in (payload.msb(128), payload):
@@ -180,7 +199,7 @@ def test_mode_outputs_meet_the_bitstring_invariants(name, nbits, tweak_bits, dra
     """Mode outputs are assembled from cipher outputs and keystream without
     the constructor's checks; they must still pass them and hold bytes."""
     mode = modes.MODES[name]
-    keys = mode.derive(draw.randbytes(16 if mode.variant else 32))
+    keys = mode.derive(draw.randbytes(32 if mode.scheme == "hctr" else 16))
     tweak = BitString.from_int(draw.getrandbits(tweak_bits), tweak_bits)
     payload = BitString.from_int(draw.getrandbits(nbits), nbits)
     partial = nbits % 128 != 0
@@ -354,12 +373,12 @@ def test_inject_keeps_untouched_subkeys_as_the_same_objects():
 
 
 # ---------------------------------------------------------------------------
-# Key sets and variants are named tuples
+# Key sets and modes are named tuples
 
 
 @pytest.mark.parametrize("obj,name", [
-    (XCBV1, "version"),
-    (MXCBV2, "counter_family"),
+    (XCBV1, "scheme"),
+    (MXCBV2, "inc32"),
     (hctr_keys(bytes(32), factory=FeistelCipher), "h"),
     (hctr_keys(bytes(32), factory=FeistelCipher), "derived"),
 ])
@@ -369,17 +388,37 @@ def test_fields_cannot_be_assigned(obj, name):
 
 
 def test_variant_repr():
-    assert repr(XCBV1) == "XcbVariant(version='v1', counter_family='inc32')"
+    assert repr(XCBV1) == "Mode(name='xcbv1', scheme='xcbv1', inc32=True, fixed_hash=False)"
 
 
 def test_variants_hash_and_compare_by_value():
     assert VARIANTS == {"xcbv1": XCBV1, "xcbv2": XCBV2, "mxcbv1": MXCBV1, "mxcbv2": MXCBV2}
-    by_variant = {v: name for name, v in VARIANTS.items()}
-    assert by_variant[XcbVariant("v2", "xor_index")] == "mxcbv2"
-    assert len(by_variant) == 4
-    # A variant is a tuple of its fields, and unpacks as one.
-    version, family = XCBV2
-    assert (version, family) == XCBV2 == ("v2", "inc32")
+    assert list(modes.MODES) == [*VARIANTS, "hctr", "hctr-fix"]
+    by_mode = {m: name for name, m in modes.MODES.items()}
+    assert by_mode[Mode("mxcbv2", "xcbv2")] == "mxcbv2"
+    assert by_mode[Mode("hctr-fix", "hctr", fixed_hash=True)] == "hctr-fix"
+    assert len(by_mode) == 6
+    # A mode is a tuple of its fields, and unpacks as one.
+    name, scheme, inc32, fixed_hash = XCBV2
+    assert (name, scheme, inc32, fixed_hash) == XCBV2 == ("xcbv2", "xcbv2", True, False)
+
+
+@pytest.mark.parametrize("name", ["hctr", "hctr-fix"])
+def test_xcb_body_rejects_an_hctr_mode(name):
+    """An HCTR ``Mode`` is refused by the XCB body even with HCTR keys."""
+    keys = fresh_hctr_keys()
+    payload = BitString(bytes(32))
+    for fn in (xcb_encrypt, xcb_decrypt):
+        with pytest.raises(ValueError, match="not an XCB mode"):
+            fn(modes.MODES[name], keys, BitString.empty(), payload)
+
+
+def test_counter_span_and_special_block():
+    """v2 keeps its special block last; v1 and HCTR keep it first."""
+    last = {name for name, mode in modes.MODES.items() if mode.special_last}
+    assert last == {"xcbv2", "mxcbv2"}
+    for mode in modes.MODES.values():
+        assert mode.counter_span(5) == (range(1, 5) if mode.special_last else range(2, 6))
 
 
 def test_hctr_keys_split():

@@ -5,7 +5,8 @@ around the block iterator's chunk size), generic ``mul``, ``square``,
 ``pow``, ``inv``, ``sqrt`` and ``order_divisor``.  Hashes: all three at
 lengths 0-600 bits, at 127, 128 and 129 hashed blocks (either side of the
 8-bit table threshold), around the chunk size and at 2-8 KiB, partial
-blocks included, and the block iterator's memory on 4 MiB.  ``BitString``:
+blocks included, HCTR's hash of (payload, tweak) parts against the hash of
+their join, and the block iterator's memory on 4 MiB.  ``BitString``:
 XOR, ``lsb``, ``parse_n`` and concatenation at lengths 0-600.  Modes: all
 six in both directions against the ``BitString``-level bodies, at
 bit-granular payloads and tweaks.  Counter offsets: the closed-form
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfref
-from wideblock import analysis, field, modes
+from wideblock import analysis, field, modes, polyhash
 from wideblock.field import FieldElement
 from wideblock.polyhash import BitString, hctr_hash, hctr_hash_fixed, parse_n, xcb_hash
 
@@ -217,6 +218,33 @@ def test_hctr_hash_fixed(h, p):
     assert hctr_hash_fixed(h, p) == gfref.hctr_hash_oracle(h, appended)
 
 
+#: Payload byte counts either side of a block and of a 4 KiB sector.
+_HCTR_P_BYTES = [0, 1, 15, 16, 17, 31, 32, 33, 4079, 4080, 4081, 4095, 4096, 4097, 4112]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    elements,
+    st.booleans(),
+    st.sampled_from(_HCTR_P_BYTES),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=320),
+    st.integers(min_value=0),
+)
+def test_hctr_hash_of_payload_and_tweak_parts(h, fixed, nbytes, short, t_bits, seed):
+    """``_hctr_hash`` over the parts (p, t), p given as bytes or as a view,
+    equals the reference hash of the joined p || t (|| 1 if ``fixed``).  p
+    is up to 7 bits short of whole bytes; t has 0-40 bytes."""
+    p = random_bits(seed, max(8 * nbytes - short, 0))
+    t = random_bits(seed + 1, t_bits)
+    joined = gfref.concat(p, t)
+    if fixed:
+        joined = gfref.concat(joined, BitString.from_int(1, 1))
+    expect = gfref.hctr_hash_oracle(h, joined).value
+    for data in (p.data, memoryview(p.data)):
+        assert polyhash._hctr_hash(h, fixed, data, p.bitlen, t.data, t.bitlen) == expect
+
+
 @pytest.mark.parametrize("blocks", [127, 128, 129])
 @pytest.mark.parametrize("tail_bits", [0, 37])
 def test_hashes_at_the_byte_table_threshold(blocks, tail_bits):
@@ -312,18 +340,17 @@ def test_modes_against_the_bitstring_bodies(name, master, payload, tweak, allow_
     reference bodies'; the v2 variants refuse a partial payload unless
     allowed, as before."""
     mode = modes.MODES[name]
-    variant = mode.variant
-    keys = mode.derive(master[:16] if variant and variant.version == "v1" else master)
-    if variant and variant.version == "v2" and payload.bitlen % 128 and not allow_partial:
+    keys = mode.derive(master[:16] if mode.scheme == "xcbv1" else master)
+    if mode.scheme == "xcbv2" and payload.bitlen % 128 and not allow_partial:
         for encrypt in (True, False):
             with pytest.raises(modes.PartialBlockRejected):
                 mode.crypt(keys, tweak, payload, encrypt, allow_partial)
         return
     for encrypt in (True, False):
-        if variant is None:
+        if mode.scheme == "hctr":
             expect = gfref.hctr_crypt(keys, tweak, payload, mode.fixed_hash, encrypt)
         else:
-            expect = gfref.xcb_crypt(variant, keys, tweak, payload, encrypt)
+            expect = gfref.xcb_crypt(mode, keys, tweak, payload, encrypt)
         assert mode.crypt(keys, tweak, payload, encrypt, allow_partial) == expect
 
 
