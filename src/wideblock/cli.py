@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import stat
 import sys
 
 # encrypt/decrypt need only the cipher path; the subcommands that use
@@ -61,7 +62,12 @@ def _cmd_crypt(args: argparse.Namespace) -> int:
     keys = mode.derive(bytes.fromhex(args.key))
     tweak = BitString(bytes.fromhex(args.tweak))
     path = getattr(args, "in")
-    size = os.stat(path).st_size
+    info = os.stat(path)
+    # A device or FIFO reports size 0 and could be read without end, or
+    # block in open, so only a regular file is read.
+    if not stat.S_ISREG(info.st_mode):
+        raise ValueError(f"{path} is not a regular file")
+    size = info.st_size
     if 8 * size > modes.MAX_BITS:
         raise ValueError(f"{path} is {size} bytes; the modes take at most 2^39 bits (64 GiB)")
     with open(path, "rb") as f:

@@ -13,7 +13,9 @@ key, or the base of ``pow``) uses h's 4-bit table (Shoup 1996; McGrew &
 Viega, "The Galois/Counter Mode of Operation", section 4): the 16 products
 n*h*x^(4i) for each of the 32 nibble positions i, about 22 KB, built on
 first use and kept on that ``FieldElement``.  A product is then one lookup
-per nibble of the other operand.
+per nibble of the other operand.  ``_row`` is the one row builder: it
+gives the 16 multiples n*a of any a, so each table row, and the window
+``mul`` takes for a one-off product, comes from it.
 
 A hash input of at least 2 KiB (``BYTE_TABLE_BLOCKS`` blocks) is evaluated
 with h's 8-bit table instead: the 256 products n*h*x^(8j) for each of the
@@ -33,7 +35,9 @@ block is copied, to pad it.
 ``sqrt`` is GF(2)-linear, so it is one multiply by the constant sqrt(x)
 on top of two bit packings, not 127 squarings.  ``order_divisor`` clears a
 key of no small order with a single exponentiation by the product of the
-small prime factors of 2^128 - 1, not one per candidate divisor.
+small prime factors of 2^128 - 1, not one per candidate divisor.  x
+generates the cyclic group GF(2^128)^*, so ``element_of_order(r)``, the
+weak key of order r, is the one power x^((2^128 - 1)/r).
 
 The lookups of both tables are memory accesses indexed by key-dependent
 data, so nothing here runs in constant time (pure Python would not anyway);
@@ -145,19 +149,20 @@ ZERO = FieldElement(0)
 ONE = FieldElement(1)
 
 
-def _times_x(v: int) -> int:
-    v <<= 1
-    return v ^ REDUCTION_POLY if v >> 128 else v
+def _row(a: int) -> tuple[tuple[int, ...], int]:
+    """The 16 products n*a for the polynomials n of degree below 4, and a*x^4.
 
-
-def _row(v: int) -> tuple[list[int], int]:
-    """The 16 products n*v for the polynomials n of degree below 4, and v*x^4."""
-    row = [0] * 16
-    for bit in (1, 2, 4, 8):
-        for n in range(bit):
-            row[bit + n] = row[n] ^ v
-        v = _times_x(v)
-    return row, v
+    The row is written out from a, a*x, a*x^2 and a*x^3 and their XORs,
+    with the shifts by x inlined: under half the cost of a loop over the
+    four bits of n.
+    """
+    b = (a << 1) ^ REDUCTION_POLY if a >> 127 else a << 1
+    c = (b << 1) ^ REDUCTION_POLY if b >> 127 else b << 1
+    d = (c << 1) ^ REDUCTION_POLY if c >> 127 else c << 1
+    ab, ac, bc = a ^ b, a ^ c, b ^ c
+    abc = ab ^ c
+    row = (0, a, b, ab, c, ac, bc, abc, d, a ^ d, b ^ d, ab ^ d, c ^ d, ac ^ d, bc ^ d, abc ^ d)
+    return row, ((d << 1) ^ REDUCTION_POLY if d >> 127 else d << 1)
 
 
 def _reduce(p: int) -> int:
@@ -174,9 +179,6 @@ def _key_table(h: FieldElement) -> tuple:
 
     Entry j is the pair of rows for byte j of a little-endian operand: its
     low nibble n maps to n*h*x^(8j), its high nibble to n*h*x^(8j+4).
-
-    Each row is written out from a, a*x, a*x^2 and a*x^3 and their XORs,
-    with the shifts by x inlined: under half the cost of 32 ``_row`` calls.
     """
     try:
         return h._mul_table
@@ -184,15 +186,8 @@ def _key_table(h: FieldElement) -> tuple:
         rows = []
         a = h.value
         for _ in range(32):
-            b = (a << 1) ^ REDUCTION_POLY if a >> 127 else a << 1
-            c = (b << 1) ^ REDUCTION_POLY if b >> 127 else b << 1
-            d = (c << 1) ^ REDUCTION_POLY if c >> 127 else c << 1
-            ab, ac, bc = a ^ b, a ^ c, b ^ c
-            abc = ab ^ c
-            rows.append(
-                (0, a, b, ab, c, ac, bc, abc, d, a ^ d, b ^ d, ab ^ d, c ^ d, ac ^ d, bc ^ d, abc ^ d)
-            )
-            a = (d << 1) ^ REDUCTION_POLY if d >> 127 else d << 1
+            row, a = _row(a)
+            rows.append(row)
         table = tuple(zip(rows[0::2], rows[1::2]))
         object.__setattr__(h, "_mul_table", table)
         return table
@@ -415,24 +410,22 @@ def _divisors_of_group_order() -> list[int]:
 _GROUP_ORDER_DIVISORS = _divisors_of_group_order()
 
 
-def element_of_order(r: int) -> FieldElement:
-    """Construct an element of exact multiplicative order r.
+#: x, a generator of the cyclic group GF(2^128)^*: x^((2^128 - 1)/p) != 1
+#: for each prime p in ``GROUP_ORDER_FACTORS``.  A module constant, so its
+#: table is built once.
+_X = FieldElement(2)
 
-    r must be a divisor of 2^128 - 1 greater than 1.  Candidate bases 2, 3,
-    4, ... are raised to (2^128 - 1)/r in a fixed sequence until the result
-    has exact order r (no maximal proper divisor of r kills it), so the
-    construction is deterministic.
+
+def element_of_order(r: int) -> FieldElement:
+    """The element x^((2^128 - 1)/r), of exact multiplicative order r.
+
+    r must be a divisor of 2^128 - 1 greater than 1.  x generates the
+    group, which has order N = 2^128 - 1, so x^(N/r) has order
+    N/gcd(N, N/r) = r exactly, and the construction is deterministic.
     """
     if r <= 1 or GROUP_ORDER % r != 0:
         raise NotADivisor(f"{r} does not divide 2^128 - 1 (or is trivial)")
-    cofactor = GROUP_ORDER // r
-    maximal = [r // p for p in GROUP_ORDER_FACTORS if r % p == 0]
-    base = 2
-    while True:
-        t = pow(FieldElement(base), cofactor)
-        if t != ONE and all(pow(t, d) != ONE for d in maximal):
-            return t
-        base += 1
+    return pow(_X, GROUP_ORDER // r)
 
 
 def order_divisor(h: FieldElement, max_order: int) -> int | None:

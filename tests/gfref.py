@@ -22,8 +22,14 @@ These deliberately avoid the production code paths:
   ``IncSetTable`` and its ``WidthTooLarge`` error) are the brute-force
   enumeration of Y_r and W_r over every counter value, the reference for
   that closed form and for the carry-chain search;
-* ``key_table`` builds a hash key's 4-bit table from ``field._row``, the
-  loop that the written-out rows of ``field._key_table`` replaced;
+* ``row`` is the loop over the bits of n that ``field._row``'s written-out
+  products replaced, and ``key_table`` builds a hash key's 4-bit table
+  from it;
+* ``element_of_order`` is the search that the one power of the generator
+  x in ``wideblock.field`` replaced: candidate bases 2, 3, 4, ... raised
+  to (2^128 - 1)/r until the exact order, checked against every maximal
+  proper divisor of r, is r.  It exponentiates with the public
+  ``field.pow``, since the bit-serial ``pow`` would take seconds;
 * ``xcb_crypt`` and ``hctr_crypt`` are the ``BitString``-level mode bodies
   (split, pad and concatenate bit strings, hash through the public hash
   functions, counter through the public counter functions) that the
@@ -122,14 +128,39 @@ def order_divisor(h: FieldElement, max_order: int) -> int | None:
     return None
 
 
+def row(v: int) -> tuple[list[int], int]:
+    """The 16 products n*v for the polynomials n of degree below 4, and v*x^4."""
+    products = [0] * 16
+    for bit in (1, 2, 4, 8):
+        for n in range(bit):
+            products[bit + n] = products[n] ^ v
+        v <<= 1
+        if v >> 128:
+            v ^= _MODULUS
+    return products, v
+
+
 def key_table(h: FieldElement) -> tuple:
-    """h's 4-bit table (the layout of ``field._key_table``) from ``field._row``."""
+    """h's 4-bit table (the layout of ``field._key_table``) from ``row``."""
     rows = []
     v = h.value
     for _ in range(32):
-        row, v = field._row(v)
-        rows.append(tuple(row))
+        products, v = row(v)
+        rows.append(tuple(products))
     return tuple(zip(rows[0::2], rows[1::2]))
+
+
+def element_of_order(r: int) -> FieldElement:
+    """The first of x^(N/r), 3^(N/r), 4^(N/r), ... (bases as field elements,
+    N = 2^128 - 1) whose exact order is r, for a divisor r > 1 of N."""
+    cofactor = field.GROUP_ORDER // r
+    maximal = [r // p for p in field.GROUP_ORDER_FACTORS if r % p == 0]
+    base = 2
+    while True:
+        t = field.pow(FieldElement(base), cofactor)
+        if t != field.ONE and all(field.pow(t, d) != field.ONE for d in maximal):
+            return t
+        base += 1
 
 
 # ---------------------------------------------------------------------------

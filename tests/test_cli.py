@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -163,7 +164,8 @@ def test_input_size_is_checked_before_reading(tmp_path, capsys, monkeypatch, com
     plain = tmp_path / "p.bin"
     plain.write_bytes(rng.randbytes(64))
     out = tmp_path / "out.bin"
-    monkeypatch.setattr(cli, "os", SimpleNamespace(stat=lambda path: SimpleNamespace(st_size=size)))
+    reported = SimpleNamespace(st_mode=stat.S_IFREG | 0o644, st_size=size)
+    monkeypatch.setattr(cli, "os", SimpleNamespace(stat=lambda path: reported))
     code, _, err = run(
         capsys, command, "--mode", "xcbv1", "--key", "00" * 16,
         "--in", str(plain), "--out", str(out),
@@ -174,6 +176,42 @@ def test_input_size_is_checked_before_reading(tmp_path, capsys, monkeypatch, com
     assert code == 1
     assert err.startswith("error:") and "2^39 bits" in err
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+#: Runs ``cli.main`` on its arguments with the address space capped at
+#: 512 MiB, so a command that reads without end fails on its own.
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from wideblock.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX devices and FIFOs")
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+@pytest.mark.parametrize("source", ["device", "fifo"])
+def test_non_regular_input_is_refused_before_opening(tmp_path, command, source):
+    """A device or a FIFO reports size 0, so the 2^39-bit check cannot
+    bound it: ``/dev/zero`` would be read until memory runs out, and a FIFO
+    with no writer blocks in ``open``.  Either is refused with one error
+    line, before it is opened and before ``--out`` is made.  The command
+    runs in a child process with a capped address space and a timeout, so
+    a command that reads it cannot exhaust the machine."""
+    if source == "device":
+        path = Path("/dev/zero")
+    else:
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+    out = tmp_path / "out.bin"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, command, "--mode", "xcbv2", "--key", "00" * 16,
+         "--in", str(path), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert (proc.returncode, proc.stderr) == (1, f"error: {path} is not a regular file\n")
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from gfref import ctr_blockwise, inc
 from wideblock import ctr
@@ -170,3 +171,50 @@ def test_counter_memory_is_bounded_by_a_chunk(inc32):
     finally:
         tracemalloc.stop()
     assert peak <= 10 << 20
+
+
+# ---------------------------------------------------------------------------
+# The counter against OpenSSL's AES-CTR
+
+_OPENSSL_BLOCK_COUNTS = [1, 2, 3, 16, 255, 256, 257, 511, 512, 513, 767, 1024, 1199, 1200]
+
+
+def openssl_ctr(key: bytes, nonce: int, data: bytes, bitlen: int) -> bytes:
+    """data XOR OpenSSL's AES-CTR keystream from the 128-bit nonce, whose
+    counter is the whole block read as a big-endian int, with the last
+    byte's bits past bitlen cleared."""
+    enc = Cipher(algorithms.AES(key), modes.CTR(nonce.to_bytes(16, "big"))).encryptor()
+    out = bytearray(enc.update(data) + enc.finalize())
+    if bitlen % 8:
+        out[-1] &= 0xFF << (8 - bitlen % 8) & 0xFF
+    return bytes(out)
+
+
+@pytest.mark.parametrize("inc32", [True, False], ids=["inc32", "xor_index"])
+@pytest.mark.parametrize("nblocks", _OPENSSL_BLOCK_COUNTS)
+def test_counter_matches_openssl_ctr(inc32, nblocks):
+    """``_ctr`` equals OpenSSL's AES-CTR where the two counters agree.
+
+    inc32: a seed whose low 32 bits do not wrap within the message (one
+    seed ends the message at 2^32 - 1) counts as S + i, so the keystream is
+    AES-CTR from S.  XOR-index: a seed whose low 16 bits are zero, with
+    fewer than 2^16 blocks, gives S xor i = S + i for the 1-based index i,
+    so the keystream is AES-CTR from S + 1.  Seeds whose low 32 bits wrap
+    inside the message, and XOR-index seeds with low bits set, are not
+    reachable this way; the wrap is left to a check against AES-GCM, whose
+    keystream has the same 32-bit increment.
+    """
+    r = random.Random(nblocks << 1 | inc32)
+    key = r.randbytes(16)
+    if inc32:
+        lows = [r.randrange((1 << 32) - nblocks + 1), (1 << 32) - nblocks]
+        seeds = [r.getrandbits(96) << 32 | low for low in lows]
+    else:
+        seeds = [r.getrandbits(112) << 16]
+    for seed in seeds:
+        for tail in (128, 5, r.randrange(1, 128)):
+            bitlen = 128 * (nblocks - 1) + tail
+            data = (r.getrandbits(bitlen) << (-bitlen % 8)).to_bytes(-(-bitlen // 8), "big")
+            nonce = seed if inc32 else seed + 1
+            expect = openssl_ctr(key, nonce, data, bitlen)
+            assert ctr._ctr(AesCipher(key), seed, data, bitlen, inc32) == expect

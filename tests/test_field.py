@@ -111,6 +111,24 @@ def test_element_of_order_deterministic():
     assert field.element_of_order(3) == field.element_of_order(3)
 
 
+def test_x_generates_the_group():
+    """x^(N/p) != 1 for each prime p of N = 2^128 - 1, so x has order N: the
+    fact ``element_of_order`` rests on, checked with the bit-serial pow."""
+    for p in GROUP_ORDER_FACTORS:
+        assert gfref.pow(X, GROUP_ORDER // p) != field.ONE
+
+
+def test_element_of_order_equals_the_base_search():
+    """x^(N/r) is the element the base search finds, for all 511 divisors
+    r > 1 of N = 2^128 - 1."""
+    divisors = [1]
+    for p in GROUP_ORDER_FACTORS:
+        divisors += [d * p for d in divisors]
+    assert len(divisors) == 512
+    for r in divisors[1:]:
+        assert field.element_of_order(r) == gfref.element_of_order(r), r
+
+
 def test_order_divisor():
     assert field.order_divisor(field.ONE, 10) == 1
     assert field.order_divisor(field.element_of_order(3), 10) == 3
