@@ -247,7 +247,8 @@ def hctr_keydep_recover(k1: BlockCipher, x: BitString, ciphertext: BitString) ->
 
 def swap_blocks(data: BitString, i: int, j: int) -> BitString:
     """Swap 128-bit blocks i and j (1-based) of a bit string: one join of
-    byte slices, so the cost is linear in the length."""
+    byte slices, so the cost is linear in the length.  Only full blocks
+    move and the tail byte stays last, so the join is a valid bit string."""
     m = -(-data.bitlen // BLOCK_BITS)
     if not (1 <= i <= m and 1 <= j <= m):
         raise IndexOutOfSpan(f"block index out of range 1..{m}")
@@ -257,7 +258,7 @@ def swap_blocks(data: BitString, i: int, j: int) -> BitString:
         return data
     a, b = 16 * (min(i, j) - 1), 16 * (max(i, j) - 1)
     raw = data.data
-    return BitString(
+    return BitString._of(
         raw[:a] + raw[b : b + 16] + raw[a + 16 : b] + raw[a : a + 16] + raw[b + 16 :],
         data.bitlen,
     )

@@ -8,22 +8,24 @@ multiplicative identity.  The field is reduced by the fixed polynomial
 
 which in this ordering is the constant 0x87 plus the implicit x^128 term.
 
-Everything runs on plain ints.  Multiplying by a fixed element h (a hash
-key, or the base of ``pow``) uses h's 4-bit table (Shoup 1996; McGrew &
-Viega, "The Galois/Counter Mode of Operation", section 4): the 16 products
-n*h*x^(4i) for each of the 32 nibble positions i, about 22 KB, built on
-first use and kept on that ``FieldElement``.  A product is then one lookup
-per nibble of the other operand.  ``_row`` is the one row builder: it
-gives the 16 multiples n*a of any a, so each table row, and the window
-``mul`` takes for a one-off product, comes from it.
+Everything runs on plain ints.  Each fixed GF(2)-linear map (the product
+by a hash key h or by the base of ``pow``, squaring, and the square root)
+is applied through a table (Shoup 1996; McGrew & Viega, "The
+Galois/Counter Mode of Operation", section 4), and every table is built
+one way, from the map's images of x^0..x^127: ``_table`` gives the 16
+images of each nibble of an operand (32 rows of ``_nibble_row``, about
+22 KB) and ``_byte_rows`` combines them into the 256 images of each byte
+(16 rows, about 213 KB).  A map is then one lookup per nibble, or byte.
 
-A hash input of at least 2 KiB (``BYTE_TABLE_BLOCKS`` blocks) is evaluated
-with h's 8-bit table instead: the 256 products n*h*x^(8j) for each of the
-16 byte positions j, about 213 KB, built from the 4-bit table on the first
-such input and also kept on h.  It halves the lookups per block but takes
-a further 0.2-0.3 ms to build (CPython 3.11, 2-vCPU Xeon), which short
-inputs under fresh keys (the attack demos) would never repay; see
-``BYTE_TABLE_BLOCKS``.
+A key's 4-bit table is built from h's ``_doublings`` on first use and kept
+on that ``FieldElement``.  A hash input of at least 2 KiB
+(``BYTE_TABLE_BLOCKS`` blocks) runs on h's 8-bit table instead, built on
+the first such input and also kept on h.  It halves the lookups per block
+but takes a further 0.2-0.3 ms to build (CPython 3.11, 2-vCPU Xeon), which
+short inputs under fresh keys (the attack demos) would never repay.
+Squaring (x^k -> x^2k) and the square root (x^2k -> x^k, x^(2k+1) ->
+x^k * sqrt(x)) each have a constant 8-bit table, built on first use and
+kept for the process; hashing and enciphering build neither.
 
 Both table kernels take the blocks as 128-bit ints from one iterator,
 ``_blocks``: ``struct`` splits each part of a hash input into 16-byte
@@ -32,20 +34,19 @@ both in C, so no Python step runs per block outside the lookups, and no
 more than one chunk's blocks exist at once.  Only a part's partial last
 block is copied, to pad it.
 
-``sqrt`` is GF(2)-linear, so it is one multiply by the constant sqrt(x)
-on top of two bit packings, not 127 squarings.  ``order_divisor`` clears a
-key of no small order with a single exponentiation by the product of the
-small prime factors of 2^128 - 1, not one per candidate divisor.  x
-generates the cyclic group GF(2^128)^*, so ``element_of_order(r)``, the
-weak key of order r, is the one power x^((2^128 - 1)/r).
+``order_divisor`` clears a key of no small order with a single
+exponentiation by the product of the small prime factors of 2^128 - 1, not
+one per candidate divisor.  x generates the cyclic group GF(2^128)^*, so
+``element_of_order(r)``, the weak key of order r, is x^((2^128 - 1)/r).
 
-The lookups of both tables are memory accesses indexed by key-dependent
+The lookups of a key's tables are memory accesses indexed by key-dependent
 data, so nothing here runs in constant time (pure Python would not anyway);
 this is a study package, not a side-channel-hardened one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
@@ -149,20 +150,41 @@ ZERO = FieldElement(0)
 ONE = FieldElement(1)
 
 
-def _row(a: int) -> tuple[tuple[int, ...], int]:
-    """The 16 products n*a for the polynomials n of degree below 4, and a*x^4.
+def _doublings(a: int, n: int = 128) -> list[int]:
+    """a, a*x, ..., a*x^(n-1): the images of x^0..x^(n-1) under the product
+    by a, each one shift by x of the last."""
+    images = [a]
+    for _ in range(n - 1):
+        a = (a << 1) ^ REDUCTION_POLY if a >> 127 else a << 1
+        images.append(a)
+    return images
 
-    The row is written out from a, a*x, a*x^2 and a*x^3 and their XORs,
-    with the shifts by x inlined: under half the cost of a loop over the
-    four bits of n.
-    """
-    b = (a << 1) ^ REDUCTION_POLY if a >> 127 else a << 1
-    c = (b << 1) ^ REDUCTION_POLY if b >> 127 else b << 1
-    d = (c << 1) ^ REDUCTION_POLY if c >> 127 else c << 1
+
+def _nibble_row(a: int, b: int, c: int, d: int) -> tuple[int, ...]:
+    """The images of the 16 nibbles n under a GF(2)-linear map that sends
+    n's bits 1, 2, 4 and 8 to a, b, c and d: the XOR of the images of n's
+    set bits, written out (under half the cost of a loop over n's bits)."""
     ab, ac, bc = a ^ b, a ^ c, b ^ c
     abc = ab ^ c
-    row = (0, a, b, ab, c, ac, bc, abc, d, a ^ d, b ^ d, ab ^ d, c ^ d, ac ^ d, bc ^ d, abc ^ d)
-    return row, ((d << 1) ^ REDUCTION_POLY if d >> 127 else d << 1)
+    return (0, a, b, ab, c, ac, bc, abc, d, a ^ d, b ^ d, ab ^ d, c ^ d, ac ^ d, bc ^ d, abc ^ d)
+
+
+def _table(images: Iterable[int]) -> tuple:
+    """The 4-bit table of the GF(2)-linear map that sends x^k to images[k].
+
+    Entry j is the pair of rows for byte j of a little-endian operand: its
+    low nibble n maps to the image of n*x^(8j), its high nibble to that of
+    n*x^(8j+4).
+    """
+    it = iter(images)
+    rows = map(_nibble_row, it, it, it, it)
+    return tuple(zip(rows, rows))
+
+
+def _byte_rows(table: tuple) -> tuple:
+    """The 8-bit table of the same map: row j maps byte b of a little-endian
+    operand to the XOR of the 4-bit entries for its low and high nibble."""
+    return tuple(tuple([low ^ high for high in highs for low in lows]) for lows, highs in table)
 
 
 def _reduce(p: int) -> int:
@@ -175,20 +197,12 @@ def _reduce(p: int) -> int:
 
 
 def _key_table(h: FieldElement) -> tuple:
-    """h's multiplication table, built on first use and kept on h.
-
-    Entry j is the pair of rows for byte j of a little-endian operand: its
-    low nibble n maps to n*h*x^(8j), its high nibble to n*h*x^(8j+4).
-    """
+    """h's 4-bit table, the table of the product by h, built from h's
+    doublings on first use and kept on h."""
     try:
         return h._mul_table
     except AttributeError:
-        rows = []
-        a = h.value
-        for _ in range(32):
-            row, a = _row(a)
-            rows.append(row)
-        table = tuple(zip(rows[0::2], rows[1::2]))
+        table = _table(_doublings(h.value))
         object.__setattr__(h, "_mul_table", table)
         return table
 
@@ -221,17 +235,11 @@ def _horner(table: tuple, acc: int, blocks: Iterable[int]) -> int:
 
 
 def _key_byte_table(h: FieldElement) -> tuple:
-    """h's 8-bit table, built from the 4-bit one on first use and kept on h.
-
-    Row j maps byte b of a little-endian operand to b*h*x^(8j), the XOR of
-    the 4-bit entries for its low and high nibble.
-    """
+    """h's 8-bit table, built from the 4-bit one on first use and kept on h."""
     try:
         return h._byte_table
     except AttributeError:
-        table = tuple(
-            tuple([low ^ high for high in highs for low in lows]) for lows, highs in _key_table(h)
-        )
+        table = _byte_rows(_key_table(h))
         object.__setattr__(h, "_byte_table", table)
         return table
 
@@ -279,7 +287,7 @@ def _chunks(parts: tuple[bytes, ...]) -> Iterator[tuple[bytes, ...]]:
             for i in range(start, end, _CHUNK.size):
                 yield _CHUNK.unpack_from(part, i)
         if end != len(part):
-            yield (part[end:].ljust(16, b"\0"),)
+            yield (bytes(part[end:]).ljust(16, b"\0"),)
 
 
 def _blocks(parts: tuple[bytes, ...]) -> Iterator[int]:
@@ -302,20 +310,10 @@ def _times(a: int, table: tuple) -> int:
     return _horner(table, a, (0,))
 
 
-# Squaring is GF(2)-linear: the coefficient of x^k moves to x^2k.  _SPREAD
-# moves a nibble's bits apart; the byte tables spread a byte's low or high
-# nibble.
-_SPREAD = [sum(((n >> k) & 1) << (2 * k) for k in range(4)) for n in range(16)]
-_SPREAD_LOW = bytes(_SPREAD[b & 15] for b in range(256))
-_SPREAD_HIGH = bytes(_SPREAD[b >> 4] for b in range(256))
-
-
-def _square(a: int) -> int:
-    octets = a.to_bytes(16, "little")
-    wide = bytearray(32)
-    wide[0::2] = octets.translate(_SPREAD_LOW)
-    wide[1::2] = octets.translate(_SPREAD_HIGH)
-    return _reduce(int.from_bytes(wide, "little"))
+@functools.cache
+def _square_table() -> tuple:
+    """The 8-bit table of squaring, which is GF(2)-linear: x^k -> x^2k."""
+    return _byte_rows(_table(_doublings(1, 256)[::2]))
 
 
 def add(a: FieldElement, b: FieldElement) -> FieldElement:
@@ -329,7 +327,7 @@ def mul(a: FieldElement, b: FieldElement) -> FieldElement:
     A 4-bit window: the 16 multiples of a, then one shift and two lookups
     per byte of b, then one reduction of the 255-bit product.
     """
-    window, _ = _row(a.value)
+    window = _nibble_row(*_doublings(a.value, 4))
     acc = 0
     for byte in b.value.to_bytes(16, "big"):
         acc = (acc << 8) ^ (window[byte >> 4] << 4) ^ window[byte & 15]
@@ -337,7 +335,7 @@ def mul(a: FieldElement, b: FieldElement) -> FieldElement:
 
 
 def square(a: FieldElement) -> FieldElement:
-    return FieldElement(_square(a.value))
+    return FieldElement(_horner_bytes(_square_table(), a.value, (0,)))
 
 
 def pow(a: FieldElement, e: int) -> FieldElement:  # noqa: A001 - mirrors math naming
@@ -347,10 +345,10 @@ def pow(a: FieldElement, e: int) -> FieldElement:  # noqa: A001 - mirrors math n
         raise ValueError("exponent must be non-negative")
     if e == 0:
         return ONE
-    table = _key_table(a)
+    table, squares = _key_table(a), _square_table()
     r = a.value
     for bit in bin(e)[3:]:
-        r = _square(r)
+        r = _horner_bytes(squares, r, (0,))
         if bit == "1":
             r = _times(r, table)
     return FieldElement(r)
@@ -378,26 +376,18 @@ def inv(a: FieldElement) -> FieldElement:
 _SQRT_X = FieldElement(0x24924924924924926DB6DB6DB6DB6DA4)
 
 
-def _even_bits(v: int) -> int:
-    """The bits of v at even positions 2k, packed down to positions k."""
-    v &= 0x55555555555555555555555555555555
-    v = (v | v >> 1) & 0x33333333333333333333333333333333
-    v = (v | v >> 2) & 0x0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F
-    v = (v | v >> 4) & 0x00FF00FF00FF00FF00FF00FF00FF00FF
-    v = (v | v >> 8) & 0x0000FFFF0000FFFF0000FFFF0000FFFF
-    v = (v | v >> 16) & 0x00000000FFFFFFFF00000000FFFFFFFF
-    return (v | v >> 32) & 0xFFFFFFFFFFFFFFFF
+@functools.cache
+def _sqrt_table() -> tuple:
+    """The 8-bit table of the square root, which is GF(2)-linear:
+    x^2k -> x^k and x^(2k+1) -> x^k * sqrt(x)."""
+    return _byte_rows(_table(chain.from_iterable(zip(_doublings(1, 64),
+                                                     _doublings(_SQRT_X.value, 64)))))
 
 
 def sqrt(a: FieldElement) -> FieldElement:
-    """The unique square root, as a GF(2)-linear map.
-
-    Squaring is additive in characteristic 2, so with a = sum a_k x^k,
-    sqrt(a) = sum_{k even} a_k x^(k/2) + sqrt(x) * sum_{k odd} a_k x^((k-1)/2):
-    two bit packings and one multiply by the constant sqrt(x).
-    """
-    v = a.value
-    return FieldElement(_even_bits(v) ^ _times(_even_bits(v >> 1), _key_table(_SQRT_X)))
+    """The unique square root, sqrt(sum a_k x^k) = sum a_k sqrt(x)^k, by its
+    table: one lookup per byte of a, not 127 squarings."""
+    return FieldElement(_horner_bytes(_sqrt_table(), a.value, (0,)))
 
 
 def _divisors_of_group_order() -> list[int]:

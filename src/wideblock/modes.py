@@ -24,7 +24,9 @@ bytes-level entry points, runs the counter through ``ctr._ctr``, and builds
 its result with one ``BitString._of``.  A v2 payload splits through the
 int of its last 17 bytes, shifted by its tail bits, and only a rest or
 tweak that is not whole bytes needs a bit shift to join (``polyhash._cat``).
-HCTR hashes its rest in place, through a ``memoryview``.
+Both bodies read the rest in place, through a ``memoryview`` of the
+payload: only a v2 rest that ends inside a byte is copied, to clear the
+special block's bits from its last byte.
 """
 
 from __future__ import annotations
@@ -257,10 +259,10 @@ def _xcb(variant: Mode, keys: TesKeySet, tweak: BitString, payload: BitString,
     t, t_bits = tweak.data, tweak.bitlen
     data, rest_bits = payload.data, n - BLOCK_BITS
     if not variant.special_last:
-        x, rest = data[:16], data[16:]
+        x, rest = data[:16], memoryview(data)[16:]
     else:
         x = ((int.from_bytes(data[-17:], "big") >> (-n % 8)) & _MASK128).to_bytes(16, "big")
-        rest = _mask_tail(data[: (rest_bits + 7) // 8], rest_bits)
+        rest = _mask_tail(memoryview(data)[: (rest_bits + 7) // 8], rest_bits)
     s = int.from_bytes(e.encrypt_block(x), "big")
     s ^= _xcb_hash(variant, keys, t, t_bits, rest, rest_bits, forward)
     out = ctr._ctr(keys.kc, s, rest, rest_bits, variant.inc32)

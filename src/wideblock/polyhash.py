@@ -30,8 +30,9 @@ The public ``BitString`` constructor converts its data to ``bytes`` and
 checks the length and the zero tail.  Results that meet both by
 construction (concatenation, XOR, ``msb``/``lsb``, ``from_int``,
 ``parse_n``, ``field_to_block``, the outputs of ``ctr.xcb_ctr`` and
-``ctr.xor_ctr``, and each mode's output in ``modes``) are built by the
-private ``BitString._of``, which sets the two slots without either.
+``ctr.xor_ctr``, each mode's output in ``modes`` and
+``attacks.swap_blocks``) are built by the private ``BitString._of``, which
+sets the two slots without either.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ These deliberately avoid the production code paths:
   ``IncSetTable`` and its ``WidthTooLarge`` error) are the brute-force
   enumeration of Y_r and W_r over every counter value, the reference for
   that closed form and for the carry-chain search;
-* ``row`` is the loop over the bits of n that ``field._row``'s written-out
-  products replaced, and ``key_table`` builds a hash key's 4-bit table
-  from it;
+* ``row`` is the loop over the bits of n that the written-out XORs of
+  ``field._nibble_row`` replaced, and ``key_table`` builds a hash key's
+  4-bit table from it;
 * ``element_of_order`` is the search that the one power of the generator
   x in ``wideblock.field`` replaced: candidate bases 2, 3, 4, ... raised
   to (2^128 - 1)/r until the exact order, checked against every maximal

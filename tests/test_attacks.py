@@ -263,7 +263,10 @@ def test_swap_blocks_matches_block_list_reference(nbits):
     full = nbits // 128
     for i in range(1, full + 1):
         for j in range(1, full + 1):
-            assert swap_blocks(data, i, j) == _swap_reference(data, i, j)
+            swapped = swap_blocks(data, i, j)
+            assert swapped == _swap_reference(data, i, j)
+            # Built unchecked, so it must pass the checked constructor.
+            assert BitString(swapped.data, swapped.bitlen) == swapped
     assert swap_blocks(data, 1, 1) is data
     m = -(-nbits // 128)
     for i, j in [(0, 1), (1, m + 1), (-1, 1)]:

@@ -96,6 +96,22 @@ def test_encrypt_loads_only_the_cipher_layers(tmp_path):
     assert sorted(set(_NOT_ON_THE_CIPHER_PATH) & (loaded - baseline)) == []
 
 
+def test_encrypt_builds_no_constant_field_table(tmp_path):
+    """Squaring's and sqrt's tables are built on first use, which neither
+    importing the package nor an encrypt makes."""
+    plain = tmp_path / "plain.bin"
+    plain.write_bytes(bytes(4096))
+    argv = ["encrypt", "--mode", "xcbv2", "--key", "00" * 16,
+            "--in", str(plain), "--out", str(tmp_path / "enc.bin")]
+    built = "print(*(t.cache_info().currsize for t in (field._square_table, field._sqrt_table)))"
+    code = (f"import wideblock\nfrom wideblock import cli, field\n{built}\n"
+            f"assert cli.main({argv!r}) == 0\n{built}")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == ["0"] * 4
+
+
 def test_closed_output_pipe_exits_quietly():
     """A reader that closes stdout after one line: exit 1, nothing on
     stderr.  The output (2^20 lines) is far past any pipe buffer, so the

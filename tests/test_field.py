@@ -171,6 +171,16 @@ def test_sqrt_on_every_basis_vector():
         assert field.sqrt(basis) == gfref.sqrt(basis), k
 
 
+def test_square_and_pow_on_every_basis_vector():
+    """Squaring is GF(2)-linear too, so agreeing with the bit-serial
+    reference on each x^k makes its table right on the whole field.  pow
+    runs its squarings through the same table, with a multiply after some."""
+    for k in range(128):
+        basis = FieldElement(1 << k)
+        assert field.square(basis) == gfref.mul(basis, basis), k
+        assert field.pow(basis, 0b1011) == gfref.pow(basis, 0b1011), k
+
+
 # Prime factors of 2^128 - 1 up to 2^20.
 SMALL_PRIMES = [p for p in GROUP_ORDER_FACTORS if p <= 1 << 20]
 EDGE_MAX_ORDERS = sorted({0, 1} | {m for p in SMALL_PRIMES for m in (p - 1, p, p + 1)})
