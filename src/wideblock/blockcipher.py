@@ -37,8 +37,6 @@ class BlockCipher:
     An instance's key is fixed at construction; concurrent calls are safe.
     """
 
-    block_size = BLOCK_BYTES
-
     def encrypt_block(self, block: bytes) -> bytes:
         raise NotImplementedError
 

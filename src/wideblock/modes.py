@@ -21,12 +21,12 @@ which gives its key derivation and its cipher call.
 tweak's bytes and bit lengths, holds the special block, the hash values and
 the counter seed as 128-bit ints, hashes through ``polyhash``'s private
 bytes-level entry points, runs the counter through ``ctr._ctr``, and builds
-its result with one ``BitString._of``.  A v2 payload splits through the
-int of its last 17 bytes, shifted by its tail bits, and only a rest or
-tweak that is not whole bytes needs a bit shift to join (``polyhash._cat``).
-Both bodies read the rest in place, through a ``memoryview`` of the
-payload: only a v2 rest that ends inside a byte is copied, to clear the
-special block's bits from its last byte.
+its result with one ``BitString._of``.  A v2 special block is the int of the
+payload's last 17 bytes, shifted by its tail bits.  Both bodies pass the
+rest as a ``memoryview`` of the payload: the hashes read it through
+``polyhash._split`` and the counter clears its own output's tail, so a v2
+special block's bits reach neither.  Each key derivation is one
+``encrypt_blocks`` call.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional
 from . import ctr, polyhash
 from .blockcipher import AesCipher, BadKeyLength, BlockCipher
 from .field import _MASK128, FieldElement
-from .polyhash import BLOCK_BITS, BitString, _cat, _mask_tail
+from .polyhash import BLOCK_BITS, BitString, _cat
 
 CipherFactory = Callable[[bytes], BlockCipher]
 
@@ -44,6 +44,12 @@ CipherFactory = Callable[[bytes], BlockCipher]
 MAX_BITS = 1 << 39
 
 _ZERO_BLOCK = bytes(16)
+
+#: The blocks 0..6, whose images under the master cipher are the XCB subkeys.
+_CONSTANTS = b"".join(i.to_bytes(16, "big") for i in range(7))
+
+#: The name of each scheme's derivation, looked up when called (see ``Mode``).
+_DERIVE = {"xcbv1": "derive_keys_v1", "xcbv2": "derive_keys_v2", "hctr": "hctr_keys"}
 
 
 class LengthBounds(ValueError):
@@ -81,8 +87,7 @@ class Mode(NamedTuple):
 
     def derive(self, master: bytes) -> TesKeySet:
         """The mode's key set from its master key."""
-        derive = {"xcbv1": derive_keys_v1, "xcbv2": derive_keys_v2, "hctr": hctr_keys}
-        return derive[self.scheme](master)
+        return globals()[_DERIVE[self.scheme]](master)
 
     def crypt(self, keys: TesKeySet, tweak: BitString, payload: BitString, encrypt: bool,
               allow_partial: bool) -> BitString:
@@ -125,29 +130,17 @@ class TesKeySet(NamedTuple):
     k: Optional[BlockCipher] = None
 
 
-def _constant_block(last_byte: int) -> bytes:
-    return bytes(15) + bytes([last_byte])
-
-
 def derive_keys_v1(master: bytes, factory: CipherFactory = AesCipher) -> TesKeySet:
-    """Subkeys for the two-hash-key construction (fixed 128-bit master).
-
-    The five subkeys are the master cipher's images of the constants
-    0, 1, 2, 3 and 4 in the low byte: h1 = E(..001), h2 = E(..011),
-    Ke = E(0), Kd = E(..100), Kc = E(..010).
-    """
+    """Subkeys for the two-hash-key construction (fixed 128-bit master):
+    (Ke, h1, Kc, h2, Kd) are the master cipher's images of the blocks 0..4."""
     if len(master) != 16:
         raise BadKeyLength(f"this construction uses a fixed 16-byte master key, got {len(master)}")
-    em = factory(master)
-    h1 = FieldElement.from_bytes(em.encrypt_block(_constant_block(0x01)))
-    h2 = FieldElement.from_bytes(em.encrypt_block(_constant_block(0x03)))
-    ke = em.encrypt_block(_constant_block(0x00))
-    kd = em.encrypt_block(_constant_block(0x04))
-    kc = em.encrypt_block(_constant_block(0x02))
+    e = factory(master).encrypt_blocks(_CONSTANTS[:80])
+    ke, h1, kc, h2, kd = (e[i : i + 16] for i in range(0, 80, 16))
     return TesKeySet(
         scheme="xcbv1",
-        h1=h1,
-        h2=h2,
+        h1=FieldElement.from_bytes(h1),
+        h2=FieldElement.from_bytes(h2),
         ke=factory(ke),
         kd=factory(kd),
         kc=factory(kc),
@@ -157,25 +150,19 @@ def derive_keys_v1(master: bytes, factory: CipherFactory = AesCipher) -> TesKeyS
 def derive_keys_v2(master: bytes, factory: CipherFactory = AesCipher) -> TesKeySet:
     """Subkeys for the single-hash-key construction (128/192/256-bit master).
 
-    h = E(0); each cipher subkey takes the leading |K| bits of the
-    concatenation of two constant encryptions, so a 128-bit master uses
-    only the first constant of each pair.
+    h = E(0), and the i-th of Ke, Kd, Kc is the leading |K| bytes of
+    E(2i - 1) || E(2i), so a 128-bit master uses only E(2i - 1).
     """
     if len(master) not in (16, 24, 32):
         raise BadKeyLength(f"master key must be 16, 24 or 32 bytes, got {len(master)}")
-    em = factory(master)
-    klen = len(master)
-
-    def subkey(c1: int, c2: int) -> bytes:
-        joined = em.encrypt_block(_constant_block(c1)) + em.encrypt_block(_constant_block(c2))
-        return joined[:klen]
-
+    e = factory(master).encrypt_blocks(_CONSTANTS)
+    ke, kd, kc = (e[i : i + len(master)] for i in (16, 48, 80))
     return TesKeySet(
         scheme="xcbv2",
-        h=FieldElement.from_bytes(em.encrypt_block(bytes(16))),
-        ke=factory(subkey(0x01, 0x02)),
-        kd=factory(subkey(0x03, 0x04)),
-        kc=factory(subkey(0x05, 0x06)),
+        h=FieldElement.from_bytes(e[:16]),
+        ke=factory(ke),
+        kd=factory(kd),
+        kc=factory(kc),
     )
 
 
@@ -228,15 +215,17 @@ def _xcb_hash(variant: Mode, keys: TesKeySet, t: bytes, t_bits: int, data: bytes
     against the padded data and an explicit block of the two unpadded
     lengths: that is the plain hash of (tweak || 0^128, data), whose own
     length block is that block.  Padding is zero bits, so a 0^128 after a
-    tweak is one more zero part: no argument is copied or shifted.
+    tweak is one more zero part.  ``polyhash._split`` reads data in place,
+    up to ``data_bits``.
     """
+    parts = polyhash._split(data, data_bits)
     if variant.scheme == "xcbv1":
-        return polyhash._xcb_hash(keys.h1 if first else keys.h2, data_bits, t_bits, data, t)
+        return polyhash._xcb_hash(keys.h1 if first else keys.h2, data_bits, t_bits, *parts, t)
     if first:
         padded_bits = data_bits + -data_bits % BLOCK_BITS + BLOCK_BITS
         return polyhash._xcb_hash(keys.h, BLOCK_BITS + t_bits, padded_bits,
-                                  _ZERO_BLOCK, t, data, _ZERO_BLOCK)
-    return polyhash._xcb_hash(keys.h, t_bits + BLOCK_BITS, data_bits, t, _ZERO_BLOCK, data)
+                                  _ZERO_BLOCK, t, *parts, _ZERO_BLOCK)
+    return polyhash._xcb_hash(keys.h, t_bits + BLOCK_BITS, data_bits, t, _ZERO_BLOCK, *parts)
 
 
 def _xcb(variant: Mode, keys: TesKeySet, tweak: BitString, payload: BitString,
@@ -262,7 +251,7 @@ def _xcb(variant: Mode, keys: TesKeySet, tweak: BitString, payload: BitString,
         x, rest = data[:16], memoryview(data)[16:]
     else:
         x = ((int.from_bytes(data[-17:], "big") >> (-n % 8)) & _MASK128).to_bytes(16, "big")
-        rest = _mask_tail(memoryview(data)[: (rest_bits + 7) // 8], rest_bits)
+        rest = memoryview(data)[: (rest_bits + 7) // 8]
     s = int.from_bytes(e.encrypt_block(x), "big")
     s ^= _xcb_hash(variant, keys, t, t_bits, rest, rest_bits, forward)
     out = ctr._ctr(keys.kc, s, rest, rest_bits, variant.inc32)

@@ -22,9 +22,11 @@ takes its inputs as parts, bytes with bit lengths, and returns the hash
 value as an int; the public functions are thin wrappers that take
 ``BitString`` arguments and return a ``FieldElement``.  The modes call the
 private entry points, so they hold plain ints and bytes inside, hash the
-payload where it lies, and make one ``BitString`` per result.  ``_cat``
-joins two bit strings' bytes at any bit offset: a plain join on a byte
-boundary, one shift otherwise.
+payload where it lies, and make one ``BitString`` per result.  Both read
+a payload through ``_split``: a view of its whole blocks and a copy of its
+partial last block, with the bits past its end cleared; ``BitString.msb``
+joins the two.  ``_cat`` joins two bit strings' bytes at any bit offset: a
+plain join on a byte boundary, one shift of b into a's last byte otherwise.
 
 The public ``BitString`` constructor converts its data to ``bytes`` and
 checks the length and the zero tail.  Results that meet both by
@@ -51,14 +53,16 @@ class BadLength(ValueError):
     """Raised on a bit length outside an operation's allowed range."""
 
 
-def _mask_tail(data: bytes, bitlen: int) -> bytes:
-    """Zero the unused low-order bits of the final byte."""
-    if bitlen % 8 == 0 or not data:
-        return data
-    keep = bitlen % 8
-    out = bytearray(data)
-    out[-1] &= (0xFF << (8 - keep)) & 0xFF
-    return bytes(out)
+def _split(data: bytes, bits: int) -> tuple[memoryview, bytes]:
+    """The first ``bits`` bits of data as two parts that pad to their
+    blocks: a view of the whole blocks, and a copy of the partial last
+    block (empty if there is none) with the bits past ``bits`` cleared."""
+    whole = bits >> 7 << 4
+    view = memoryview(data)
+    tail = bytes(view[whole : (bits + 7) >> 3])
+    if bits % 8:
+        tail = tail[:-1] + bytes([tail[-1] & 0xFF00 >> bits % 8])
+    return view[:whole], tail
 
 
 def _cat(a: bytes, abits: int, b: bytes, bbits: int) -> bytes:
@@ -66,13 +70,14 @@ def _cat(a: bytes, abits: int, b: bytes, bbits: int) -> bytes:
     ``BitString`` (left-aligned, zero tail).
 
     A join when a ends on a byte boundary; otherwise b is shifted into a's
-    zero tail in one int, and the bytes that only held tails are cut off.
+    last byte in one int, and the bytes that only held tails are cut off.
     """
     shift = -abits % 8
     if not shift or not b:
         return a + b
-    joined = (int.from_bytes(a, "big") << (8 * len(b))) | (int.from_bytes(b, "big") << shift)
-    return joined.to_bytes(len(a) + len(b), "big")[: (abits + bbits + 7) // 8]
+    joined = (a[-1] << (8 * len(b))) | (int.from_bytes(b, "big") << shift)
+    cut = (abits + bbits + 7) // 8 - (len(a) - 1)
+    return b"".join((memoryview(a)[:-1], joined.to_bytes(len(b) + 1, "big")[:cut]))
 
 
 class BitString:
@@ -91,7 +96,7 @@ class BitString:
             bitlen = 8 * len(data)
         if bitlen < 0 or len(data) != (bitlen + 7) // 8:
             raise ValueError("byte count does not match bit length")
-        if _mask_tail(data, bitlen) != data:
+        if bitlen % 8 and data[-1] & (0xFF >> bitlen % 8):
             raise ValueError("unused trailing bits must be zero")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "bitlen", bitlen)
@@ -166,7 +171,7 @@ class BitString:
         """The leading r bits."""
         if not 0 <= r <= self.bitlen:
             raise BadLength("msb length out of range")
-        return BitString._of(_mask_tail(self.data[: (r + 7) // 8], r), r)
+        return BitString._of(b"".join(_split(self.data, r)), r)
 
     def lsb(self, r: int) -> "BitString":
         """The trailing r bits."""
@@ -222,18 +227,17 @@ def xcb_hash(h: FieldElement, x: BitString, t: BitString) -> FieldElement:
 def _hctr_hash(h: FieldElement, fixed: bool, p: bytes, p_bits: int, t: bytes,
                t_bits: int) -> int:
     """``hctr_hash`` of p || t, or ``hctr_hash_fixed`` if ``fixed``, on the
-    bytes and bit lengths of p and t, without joining them: p's whole
-    blocks, if any, are hashed in place, and only its partial last block is
-    joined to t, the repaired hash's 1 bit, the padding and the length block."""
+    bytes and bit lengths of p and t, without joining them: p is split with
+    ``_split``, and only its partial last block is joined to t and the
+    repaired hash's 1 bit; the length block is the last part."""
     n = p_bits + t_bits + fixed
     if n == 0:
         return h.value
     if fixed:
         t, t_bits = _cat(t, t_bits, b"\x80", 1), t_bits + 1
-    whole = p_bits >> 7 << 4
-    tail = _cat(bytes(p[whole:]), p_bits - 8 * whole, t, t_bits)
-    tail += bytes(-len(tail) % 16) + n.to_bytes(16, "big")
-    return field._hash(h, memoryview(p)[:whole], tail) if whole else field._hash(h, tail)
+    whole, tail = _split(p, p_bits)
+    tail = _cat(tail, p_bits % BLOCK_BITS, t, t_bits)
+    return field._hash(h, whole, tail, n.to_bytes(16, "big"))
 
 
 def hctr_hash(h: FieldElement, p: BitString) -> FieldElement:

@@ -44,7 +44,6 @@ from wideblock.blockcipher import BadBlockLength
 from wideblock.field import FieldElement
 from wideblock.polyhash import (
     BitString,
-    _mask_tail,
     field_to_block,
     hctr_hash,
     hctr_hash_fixed,
@@ -209,7 +208,7 @@ def hctr_hash_oracle(h: FieldElement, p: BitString) -> FieldElement:
 
 def xor(a: BitString, b: BitString) -> BitString:
     raw = bytes(p ^ q for p, q in zip(a.data, b.data))
-    return BitString(_mask_tail(raw, a.bitlen), a.bitlen)
+    return BitString(raw, a.bitlen)
 
 
 def lsb(x: BitString, r: int) -> BitString:

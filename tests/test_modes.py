@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from gfref import inc
 from wideblock import field, modes
+from wideblock.attacks import IdealPermutationOracle
 from wideblock.blockcipher import BadKeyLength, FeistelCipher
 from wideblock.field import FieldElement
 from wideblock.modes import (
@@ -110,6 +112,37 @@ def test_derive_v2_192():
     assert len(keys.ke.key) == 24
 
 
+@pytest.mark.parametrize("derive,klen", [
+    (derive_keys_v1, 16), (derive_keys_v2, 16), (derive_keys_v2, 24), (derive_keys_v2, 32),
+])
+def test_derivation_is_one_batch_call_on_the_master(derive, klen):
+    """Each derivation enciphers its constants in one ``encrypt_blocks`` call
+    on the master cipher, and makes no single-block call on any cipher."""
+    made = []
+
+    class Counting(FeistelCipher):
+        def __init__(self, key):
+            super().__init__(key)
+            self.calls = Counter()
+            made.append(self)
+
+        def encrypt_block(self, block):
+            self.calls["encrypt_block"] += 1
+            return super().encrypt_block(block)
+
+        def encrypt_blocks(self, data):
+            # FeistelCipher's batch call loops over encrypt_block; a plain
+            # twin keeps those inner calls out of the count.
+            self.calls["encrypt_blocks"] += 1
+            return FeistelCipher(self.key).encrypt_blocks(data)
+
+    master = rng.randbytes(klen)
+    keys = derive(master, factory=Counting)
+    assert made[0].key == master and made[0].calls == {"encrypt_blocks": 1}
+    assert [c.calls for c in made[1:]] == [Counter()] * 3
+    assert {keys.ke.key, keys.kd.key, keys.kc.key} == {c.key for c in made[1:]}
+
+
 # ---------------------------------------------------------------------------
 # Round trips and length preservation
 
@@ -148,21 +181,34 @@ def test_hctr_round_trip(fixed, nbits):
     assert hctr_decrypt(keys, tweak, c, fixed_hash=fixed) == payload
 
 
+def _peak(call) -> int:
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _zero_hash_keys(mode: Mode) -> TesKeySet:
+    """Derived keys with every hash key zero, which keeps the hash's products
+    out of a trace (every one is the cached int 0)."""
+    zero = FieldElement(0)
+    hash_keys = {"h1": zero, "h2": zero} if mode.scheme == "xcbv1" else {"h": zero}
+    return modes.inject_subkeys(mode.derive(random.Random(1).randbytes(16)), **hash_keys)
+
+
 @pytest.mark.parametrize("name", ["hctr", "hctr-fix"])
 def test_hctr_holds_no_joined_copy_of_the_payload(name):
     """A 1 MiB HCTR call allocates its output and the counter's output, and
     little beyond: both hashes read the payload in place and join only its
     partial last block to the tweak.  The zero hash key keeps the hash's
-    products out of the trace (every one is the cached int 0)."""
+    products out of the trace."""
     mode = modes.MODES[name]
     keys = mode.derive(random.Random(1).randbytes(16) + bytes(16))
     payload = BitString(random.Random(2).randbytes(1 << 20))
-    tracemalloc.start()
-    try:
-        mode.crypt(keys, BitString(b"\x00\x19"), payload, True, False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak(lambda: mode.crypt(keys, BitString(b"\x00\x19"), payload, True, False))
     assert peak <= 2.5 * (1 << 20)
 
 
@@ -170,20 +216,28 @@ def test_hctr_holds_no_joined_copy_of_the_payload(name):
 def test_xcb_reads_its_rest_in_place(name):
     """A 256 KiB XCB call allocates its output and the counter's output, and
     little beyond: the rest is a view of the payload, not a copy (about 2.2
-    times the payload here; a copied rest makes it 3.2).  Zero hash keys
-    keep the hash's products out of the trace."""
+    times the payload here; a copied rest makes it 3.2)."""
     mode = modes.MODES[name]
-    zero = FieldElement(0)
-    hash_keys = {"h1": zero, "h2": zero} if mode.scheme == "xcbv1" else {"h": zero}
-    keys = modes.inject_subkeys(mode.derive(random.Random(1).randbytes(16)), **hash_keys)
+    keys = _zero_hash_keys(mode)
     payload = BitString(random.Random(2).randbytes(1 << 18))
-    tracemalloc.start()
-    try:
-        mode.crypt(keys, BitString(b"\x00\x19"), payload, True, False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak(lambda: mode.crypt(keys, BitString(b"\x00\x19"), payload, True, False))
     assert peak <= 2.5 * (1 << 18)
+
+
+@pytest.mark.parametrize("name", ["xcbv2", "mxcbv2"])
+def test_v2_rest_that_ends_inside_a_byte_is_not_copied(name):
+    """A 2 MiB + 3 bit v2 call peaks, in either direction, within 1.1 times
+    an encryption of 2 MiB exactly: its rest, which ends inside a byte, is
+    hashed and counted in place, and the join of its output shifts only one
+    byte.  A masked copy of the rest and a join through one whole-payload
+    int made it 2.0."""
+    mode = modes.MODES[name]
+    keys = _zero_hash_keys(mode)
+    raw = random.Random(2).randbytes(1 << 21)
+    tweak, unaligned = BitString(b"\x00\x19"), BitString(raw + b"\xa0", (8 << 21) + 3)
+    bound = 1.1 * _peak(lambda: mode.crypt(keys, tweak, BitString(raw), True, True))
+    for encrypt in (True, False):
+        assert _peak(lambda: mode.crypt(keys, tweak, unaligned, encrypt, True)) <= bound
 
 
 @settings(max_examples=40, deadline=None)
@@ -341,6 +395,31 @@ def test_v2_rejects_partial_blocks_by_default():
     c = xcb_encrypt(XCBV2, keys, BitString.empty(), payload, allow_partial=True)
     assert c.bitlen == 200
     assert xcb_decrypt(XCBV2, keys, BitString.empty(), c, allow_partial=True) == payload
+
+
+@pytest.mark.parametrize("rest_bits,zero_bits", [(261, 1), (8 * 37, 8)])
+@pytest.mark.parametrize("name,agreements", [
+    ("xcbv2", 200), ("mxcbv2", 200), ("xcbv1", 0), ("mxcbv1", 0), ("hctr", 0), ("hctr-fix", 0),
+    ("ideal", 0),
+])
+def test_v2_distinguisher_off_block_boundaries(name, agreements, rest_bits, zero_bits):
+    """v2's first hash takes the rest's padded length, so a rest A and
+    A || 0^j that pad alike hash alike: enciphered with the same special
+    block B under one tweak, A || B and A || 0^j || B share S and so agree
+    on their first |A| bits, for every key.  Under the other modes and an
+    ideal permutation they agree for none of 200 keys."""
+    pad = BitString.zeros(zero_bits)
+    hits = 0
+    for i in range(200):
+        if name == "ideal":
+            encrypt = IdealPermutationOracle(i).encrypt
+        else:
+            mode = modes.MODES[name]
+            keys = mode.derive(rng.randbytes(32 if mode.scheme == "hctr" else 16))
+            encrypt = lambda tweak, payload: mode.crypt(keys, tweak, payload, True, True)
+        a, b, tweak = rand_bits(rest_bits), rand_bits(128), rand_bits(64)
+        hits += encrypt(tweak, a + b).msb(rest_bits) == encrypt(tweak, a + pad + b).msb(rest_bits)
+    assert hits == agreements
 
 
 def test_scheme_keyset_mismatch():

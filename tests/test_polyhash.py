@@ -41,6 +41,19 @@ def test_bitstring_construction():
         BitString(b"\x00", 9)  # byte count mismatch
 
 
+@pytest.mark.parametrize("used", range(1, 8))
+def test_bitstring_checks_each_tail_bit_of_the_last_byte(used):
+    """The last byte of a (16 + used)-bit string may set any of its used
+    bits, and none of the others."""
+    for bit in range(8):
+        data = b"\xff\xff" + bytes([0x80 >> bit])
+        if bit < used:
+            assert BitString(data, 16 + used).data == data
+        else:
+            with pytest.raises(ValueError, match="trailing bits"):
+                BitString(data, 16 + used)
+
+
 def test_bitstring_int_round_trip():
     for nbits in (1, 7, 8, 9, 127, 128, 129, 300):
         v = rng.getrandbits(nbits)
