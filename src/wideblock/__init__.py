@@ -1,6 +1,6 @@
 """Wide-block tweakable enciphering schemes with attacks and bound analysis."""
 
-from .blockcipher import AesCipher, BlockCipher, FeistelCipher
+from .blockcipher import AesCipher, BlockCipher
 from .field import FieldElement
 from .modes import (
     MXCBV1,
@@ -26,7 +26,6 @@ __all__ = [
     "AesCipher",
     "BitString",
     "BlockCipher",
-    "FeistelCipher",
     "FieldElement",
     "MXCBV1",
     "MXCBV2",

@@ -1,9 +1,9 @@
 """Pluggable 128-bit block ciphers.
 
 Every enciphering mode in this package only needs a keyed permutation on
-16-byte blocks.  AES is the deployed choice; a small keyed Feistel network
-is provided as a deterministic test permutation so algebraic tests do not
-depend on an AES implementation.
+16-byte blocks: ``BlockCipher`` is that interface, and ``AesCipher`` the one
+implementation shipped.  The key derivations take the cipher as a
+``factory`` argument, so tests can substitute another permutation.
 
 ``AesCipher`` keeps one ECB encryptor for its key, and one decryptor from
 its first decryption on, and feeds every call through them.  ECB carries no
@@ -45,12 +45,7 @@ class BlockCipher:
 
     def encrypt_blocks(self, data: bytes) -> bytes:
         """Encrypt a concatenation of full blocks (ECB of each block)."""
-        if len(data) % BLOCK_BYTES:
-            raise BadBlockLength("data must be a multiple of 16 bytes")
-        out = bytearray()
-        for i in range(0, len(data), BLOCK_BYTES):
-            out += self.encrypt_block(data[i : i + BLOCK_BYTES])
-        return bytes(out)
+        raise NotImplementedError
 
 
 def _check_block(block: bytes) -> None:
@@ -95,56 +90,3 @@ class AesCipher(BlockCipher):
         with self._lock:
             return self._encryptor.update(data)
 
-
-def _mix64(x: int) -> int:
-    # splitmix64 finalizer; full 64-bit avalanche
-    x &= 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 31
-    return x
-
-
-class FeistelCipher(BlockCipher):
-    """Deterministic keyed test permutation on 128-bit blocks.
-
-    A 12-round balanced Feistel network whose round function is the
-    splitmix64 finalizer keyed by round constants derived from the key
-    bytes.  It is a correct bijection for any key, accepts the same key
-    lengths the modes derive (or any other non-empty key), and is fast and
-    reproducible.  It offers no security and exists only for testing.
-    """
-
-    ROUNDS = 12
-
-    def __init__(self, key: bytes):
-        import hashlib  # here, so the AES path never loads it
-
-        if not key:
-            raise BadKeyLength("key must be non-empty")
-        self.key = bytes(key)
-        seed = int.from_bytes(hashlib.sha256(self.key).digest()[:8], "big")
-        ks = []
-        x = seed
-        for _ in range(self.ROUNDS):
-            x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            ks.append(_mix64(x))
-        self._round_keys = tuple(ks)
-
-    def encrypt_block(self, block: bytes) -> bytes:
-        _check_block(block)
-        left = int.from_bytes(block[:8], "big")
-        right = int.from_bytes(block[8:], "big")
-        for rk in self._round_keys:
-            left, right = right, left ^ _mix64(right ^ rk)
-        return left.to_bytes(8, "big") + right.to_bytes(8, "big")
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        _check_block(block)
-        left = int.from_bytes(block[:8], "big")
-        right = int.from_bytes(block[8:], "big")
-        for rk in reversed(self._round_keys):
-            left, right = right ^ _mix64(left ^ rk), left
-        return left.to_bytes(8, "big") + right.to_bytes(8, "big")

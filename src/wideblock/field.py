@@ -282,7 +282,8 @@ def _chunks(parts: tuple[bytes, ...]) -> Iterator[tuple[bytes, ...]]:
     for part in parts:
         end = len(part) & -16
         start = end % _CHUNK.size
-        yield struct.unpack_from("16s" * (start >> 4), part)
+        if start:
+            yield struct.unpack_from("16s" * (start >> 4), part)
         if end > start:  # short parts, the most common, skip building a range
             for i in range(start, end, _CHUNK.size):
                 yield _CHUNK.unpack_from(part, i)

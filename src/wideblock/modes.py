@@ -113,14 +113,10 @@ VARIANTS = {n: m for n, m in MODES.items() if m.scheme != "hctr"}
 
 
 class TesKeySet(NamedTuple):
-    """The per-scheme subkeys derived from a master key.
-
-    ``derived`` is False when any subkey was injected rather than derived
-    from the master (used by attack experiments to install weak hash keys).
-    """
+    """The per-scheme subkeys derived from a master key, or installed by
+    ``inject_subkeys``; the subkeys a scheme does not use are None."""
 
     scheme: str  # "xcbv1" | "xcbv2" | "hctr"
-    derived: bool = True
     h1: Optional[FieldElement] = None
     h2: Optional[FieldElement] = None
     h: Optional[FieldElement] = None
@@ -180,15 +176,15 @@ def hctr_keys(master: bytes, factory: CipherFactory = AesCipher) -> TesKeySet:
 
 def inject_subkeys(keys: TesKeySet, **overrides) -> TesKeySet:
     """Replace individual subkeys (h1/h2/h as field elements, ke/kd/kc/k as
-    cipher instances) for attack experiments; the result is flagged as
-    non-derived.  With no overrides the key set is returned unchanged."""
+    cipher instances) for attack experiments, such as installing a weak
+    hash key.  With no overrides the key set is returned unchanged."""
     if not overrides:
         return keys
-    # Every field after scheme and derived is a subkey.
-    unknown = overrides.keys() - TesKeySet._fields[2:]
+    # Every field after scheme is a subkey.
+    unknown = overrides.keys() - TesKeySet._fields[1:]
     if unknown:
         raise TypeError(f"unknown subkeys: {sorted(unknown)}")
-    return keys._replace(derived=False, **overrides)
+    return keys._replace(**overrides)
 
 
 def _check_bounds(tweak: BitString, payload: BitString) -> None:
@@ -286,18 +282,22 @@ def _hctr(keys: TesKeySet, tweak: BitString, payload: BitString, fixed_hash: boo
           forward: bool) -> BitString:
     """Both directions of HCTR, special block first: U = x xor H(rest || T),
     V = pi(U), the counter from U xor V over the rest, then
-    y = V xor H(out || T), with pi = E to encrypt and D to decrypt."""
+    y = V xor H(out || T), with pi = E to encrypt and D to decrypt.  The
+    repaired hash appends a 1 bit to what it hashes, so HCTR with it is
+    HCTR under the tweak T || 1, and T gets that bit here."""
     _require_scheme(keys, "hctr")
     _check_bounds(tweak, payload)
     pi = keys.k.encrypt_block if forward else keys.k.decrypt_block
     t, t_bits = tweak.data, tweak.bitlen
+    if fixed_hash:
+        t, t_bits = _cat(t, t_bits, b"\x80", 1), t_bits + 1
     data, n = payload.data, payload.bitlen
     rest, rest_bits = memoryview(data)[16:], n - BLOCK_BITS
     u = int.from_bytes(data[:16], "big")
-    u ^= polyhash._hctr_hash(keys.h, fixed_hash, rest, rest_bits, t, t_bits)
+    u ^= polyhash._hctr_hash(keys.h, rest, rest_bits, t, t_bits)
     v = int.from_bytes(pi(u.to_bytes(16, "big")), "big")
     out = ctr._ctr(keys.k, u ^ v, rest, rest_bits, False)
-    v ^= polyhash._hctr_hash(keys.h, fixed_hash, out, rest_bits, t, t_bits)
+    v ^= polyhash._hctr_hash(keys.h, out, rest_bits, t, t_bits)
     return BitString._of(v.to_bytes(16, "big") + out, n)
 
 

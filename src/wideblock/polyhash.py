@@ -224,17 +224,13 @@ def xcb_hash(h: FieldElement, x: BitString, t: BitString) -> FieldElement:
     return FieldElement(_xcb_hash(h, x.bitlen, t.bitlen, x.data, t.data))
 
 
-def _hctr_hash(h: FieldElement, fixed: bool, p: bytes, p_bits: int, t: bytes,
-               t_bits: int) -> int:
-    """``hctr_hash`` of p || t, or ``hctr_hash_fixed`` if ``fixed``, on the
-    bytes and bit lengths of p and t, without joining them: p is split with
-    ``_split``, and only its partial last block is joined to t and the
-    repaired hash's 1 bit; the length block is the last part."""
-    n = p_bits + t_bits + fixed
+def _hctr_hash(h: FieldElement, p: bytes, p_bits: int, t: bytes, t_bits: int) -> int:
+    """``hctr_hash`` of p || t on the bytes and bit lengths of p and t,
+    without joining them: p is split with ``_split``, and only its partial
+    last block is joined to t; the length block is the last part."""
+    n = p_bits + t_bits
     if n == 0:
         return h.value
-    if fixed:
-        t, t_bits = _cat(t, t_bits, b"\x80", 1), t_bits + 1
     whole, tail = _split(p, p_bits)
     tail = _cat(tail, p_bits % BLOCK_BITS, t, t_bits)
     return field._hash(h, whole, tail, n.to_bytes(16, "big"))
@@ -243,14 +239,15 @@ def _hctr_hash(h: FieldElement, fixed: bool, p: bytes, p_bits: int, t: bytes,
 def hctr_hash(h: FieldElement, p: BitString) -> FieldElement:
     """HCTR polynomial hash: the bare key for the empty string, otherwise
     blocks at powers m+1..2 with the bit length at power one."""
-    return FieldElement(_hctr_hash(h, False, p.data, p.bitlen, b"", 0))
+    return FieldElement(_hctr_hash(h, p.data, p.bitlen, b"", 0))
 
 
 def hctr_hash_fixed(h: FieldElement, p: BitString) -> FieldElement:
-    """Repaired HCTR hash: hash p with a single 1 bit appended.
+    """Repaired HCTR hash: ``hctr_hash`` of p || 1, with the single 1 bit
+    passed as the second part.
 
     Appending the bit makes every input non-empty and removes the collision
     between the empty string and a single 0 bit, whose images both equal the
     bare key under the original definition.
     """
-    return FieldElement(_hctr_hash(h, True, p.data, p.bitlen, b"", 0))
+    return FieldElement(_hctr_hash(h, p.data, p.bitlen, b"\x80", 1))

@@ -34,13 +34,17 @@ These deliberately avoid the production code paths:
   (split, pad and concatenate bit strings, hash through the public hash
   functions, counter through the public counter functions) that the
   bytes-and-int bodies in ``wideblock.modes`` replaced; the v2 second
-  hash, whose length block is explicit, runs through ``xcb_hash_oracle``.
+  hash, whose length block is explicit, runs through ``xcb_hash_oracle``;
+* ``FeistelCipher`` is a keyed test permutation that the key derivations'
+  ``factory`` argument can take in place of AES, so algebraic tests do not
+  depend on an AES implementation.
 """
 
+import hashlib
 from typing import NamedTuple
 
 from wideblock import ctr, field
-from wideblock.blockcipher import BadBlockLength
+from wideblock.blockcipher import BadBlockLength, BadKeyLength, BlockCipher, _check_block
 from wideblock.field import FieldElement
 from wideblock.polyhash import (
     BitString,
@@ -393,3 +397,64 @@ def check_field_laws(rng, cases: int) -> None:
         assert field.mul(a, field.add(b, c)) == field.add(
             field.mul(a, b), field.mul(a, c)
         )
+
+
+# ---------------------------------------------------------------------------
+# A keyed test permutation
+
+
+def _mix64(x: int) -> int:
+    # splitmix64 finalizer; full 64-bit avalanche
+    x &= 0xFFFFFFFFFFFFFFFF
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    x ^= x >> 31
+    return x
+
+
+class FeistelCipher(BlockCipher):
+    """Deterministic keyed test permutation on 128-bit blocks.
+
+    A 12-round balanced Feistel network whose round function is the
+    splitmix64 finalizer keyed by round constants derived from the key
+    bytes.  It is a correct bijection for any key, accepts the same key
+    lengths the modes derive (or any other non-empty key), and is fast and
+    reproducible.  It offers no security and exists only for testing.
+    """
+
+    ROUNDS = 12
+
+    def __init__(self, key: bytes):
+        if not key:
+            raise BadKeyLength("key must be non-empty")
+        self.key = bytes(key)
+        seed = int.from_bytes(hashlib.sha256(self.key).digest()[:8], "big")
+        ks = []
+        x = seed
+        for _ in range(self.ROUNDS):
+            x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+            ks.append(_mix64(x))
+        self._round_keys = tuple(ks)
+
+    def encrypt_block(self, block: bytes) -> bytes:
+        _check_block(block)
+        left = int.from_bytes(block[:8], "big")
+        right = int.from_bytes(block[8:], "big")
+        for rk in self._round_keys:
+            left, right = right, left ^ _mix64(right ^ rk)
+        return left.to_bytes(8, "big") + right.to_bytes(8, "big")
+
+    def decrypt_block(self, block: bytes) -> bytes:
+        _check_block(block)
+        left = int.from_bytes(block[:8], "big")
+        right = int.from_bytes(block[8:], "big")
+        for rk in reversed(self._round_keys):
+            left, right = right ^ _mix64(left ^ rk), left
+        return left.to_bytes(8, "big") + right.to_bytes(8, "big")
+
+    def encrypt_blocks(self, data: bytes) -> bytes:
+        if len(data) % 16:
+            raise BadBlockLength("data must be a multiple of 16 bytes")
+        return b"".join(self.encrypt_block(data[i : i + 16]) for i in range(0, len(data), 16))

@@ -6,7 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from wideblock.blockcipher import AesCipher, BadBlockLength, BadKeyLength, FeistelCipher
+from gfref import FeistelCipher
+from wideblock.blockcipher import AesCipher, BadBlockLength, BadKeyLength
 
 rng = random.Random(0xB10C)
 

@@ -4,9 +4,9 @@ import tracemalloc
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from gfref import ctr_blockwise, inc
+from gfref import FeistelCipher, ctr_blockwise, inc
 from wideblock import ctr
-from wideblock.blockcipher import AesCipher, BadBlockLength, FeistelCipher
+from wideblock.blockcipher import AesCipher, BadBlockLength
 from wideblock.ctr import xcb_ctr, xor_ctr
 from wideblock.field import _CHUNK_BLOCKS
 from wideblock.polyhash import BitString

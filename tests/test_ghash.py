@@ -1,6 +1,7 @@
-"""The field and the XCB hash kernel against OpenSSL's GHASH, and the
-32-bit-increment counter against GCM's keystream, both reached through
-``cryptography``'s AES-GCM (NIST SP 800-38D, sections 6.4 and 7.1).
+"""The field and the XCB hash kernel against OpenSSL's GHASH, the
+32-bit-increment counter against GCM's keystream, and xcbv2 and mxcbv2
+against a reference built from AES-ECB and AES-GCM alone, all reached
+through ``cryptography`` (NIST SP 800-38D, sections 6.4 and 7.1).
 
 With H = E_K(0^128) and a 96-bit IV, GCM's tag is E_K(IV || 0^31 || 1) xor
 GHASH_H(A || C || len(A) || len(C)), so tag xor E_K(J0) is the GHASH value.
@@ -15,9 +16,11 @@ import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from wideblock import ctr, field
+from wideblock import ctr, field, polyhash
 from wideblock.blockcipher import AesCipher
 from wideblock.field import FieldElement
+from wideblock.modes import MODES
+from wideblock.polyhash import BitString
 
 rng = random.Random(0x6C4)
 
@@ -132,3 +135,95 @@ def test_counter_wrap_matches_gcm(nblocks):
         data = r.randbytes(16 * (nblocks - 1) + r.randrange(1, 17))
         sealed = AESGCM(key).encrypt(iv_for_j0(key, j0), data, b"")
         assert ctr._ctr(AesCipher(key), seed, data, 8 * len(data), True) == sealed[:-16], wrap
+
+
+# ---------------------------------------------------------------------------
+# xcbv2 and mxcbv2 against a reference from AES-ECB and AES-GCM
+
+
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def gcm_ghash(key: bytes, aad: bytes, c: bytes) -> bytes:
+    """GHASH_H(aad, c) under H = E_key(0^128): tag xor E_key(J0) of one
+    AES-GCM call whose plaintext is chosen so that its ciphertext is c."""
+    ecb = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+    iv = rng.randbytes(12)
+    ks = ecb.update(b"".join(iv + (i + 2).to_bytes(4, "big") for i in range(-(-len(c) // 16))))
+    plaintext = xor_bytes(c, ks[: len(c)])
+    sealed = AESGCM(key).encrypt(iv, plaintext, aad)
+    assert sealed[:-16] == c
+    return xor_bytes(sealed[-16:], ecb.update(iv + b"\0\0\0\1"))
+
+
+def reference_xcb_v2(master: bytes, tweak: bytes, payload: bytes, inc32: bool,
+                     encrypt: bool) -> bytes:
+    """XCB v2 on whole bytes from ``cryptography`` alone: the subkeys, E, D
+    and the counter from AES-ECB, and both hashes as GHASH under the master
+    key's H = E_K(0^128), the v2 hash key.
+
+    Ke, Kd and Kc are the leading |K| bytes of E_K(2i - 1) || E_K(2i).  The
+    first hash is GHASH(0^128 || T, pad(A) || 0^128), the second
+    GHASH(T || 0^128, A).  Encryption is S = E_Ke(x) xor first(rest), the
+    counter from S over the rest, then y = D_Kd(S xor second(out)), with x
+    the payload's last 16 bytes; decryption swaps Ke with Kd and the two
+    hashes.  The counter's block i (0-based) is E_Kc of S with i added to
+    its low 32 bits modulo 2^32, or of S xor (i + 1) for mxcbv2.
+    """
+    def ecb(key):
+        return Cipher(algorithms.AES(key), modes.ECB())
+
+    sub = ecb(master).encryptor().update(b"".join(i.to_bytes(16, "big") for i in range(7)))
+    ke, kd, kc = (sub[i : i + len(master)] for i in (16, 48, 80))
+
+    def first(a):
+        return gcm_ghash(master, bytes(16) + tweak, a + bytes(-len(a) % 16 + 16))
+
+    def second(a):
+        return gcm_ghash(master, tweak + bytes(16), a)
+
+    if not encrypt:
+        ke, kd, first, second = kd, ke, second, first
+    rest, x = payload[:-16], payload[-16:]
+    s = xor_bytes(ecb(ke).encryptor().update(x), first(rest))
+    seed = int.from_bytes(s, "big")
+    counters = b"".join(
+        (seed >> 32 << 32 | (seed + i) % (1 << 32) if inc32 else seed ^ (i + 1)).to_bytes(16, "big")
+        for i in range(-(-len(rest) // 16))
+    )
+    out = xor_bytes(rest, ecb(kc).encryptor().update(counters)[: len(rest)])
+    s = xor_bytes(s, second(out))
+    return out + ecb(kd).decryptor().update(s)
+
+
+def gcm_order_xcb_hash(h: FieldElement, x_bits: int, t_bits: int, *parts: bytes) -> int:
+    """``polyhash._xcb_hash`` in GCM's bit order: every block, the key and
+    the value under ``rev``."""
+    data = b"".join(bytes(p) + bytes(-len(p) % 16) for p in parts)
+    data += ((x_bits << 64) | t_bits).to_bytes(16, "big")
+    return rev(field._hash(FieldElement(rev(h.value)), rev_blocks(data)))
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_xcb_v2_matches_a_reference_from_ecb_and_gcm(case, monkeypatch):
+    """Both v2 modes, both directions: 16-, 24- and 32-byte keys, tweaks of
+    0-39 bytes, payloads of 1-600 blocks, every fourth case with 1-15 more
+    bytes under ``allow_partial``.  The reference equals ``Mode.crypt`` with
+    only its hash in GCM's bit order, and differs from the mode as it is:
+    derivation, layout, lengths and counter are a GHASH-based XCB's, and
+    the field's bit order is the one gap."""
+    r = random.Random(case)
+    mode = MODES[("xcbv2", "mxcbv2")[case % 2]]
+    encrypt = case % 4 < 2
+    partial = case % 16 >= 12
+    master = r.randbytes(r.choice((16, 24, 32)))
+    tweak = r.randbytes(r.randrange(40))
+    blocks = r.choice((1, 2, 3, r.randrange(1, 601))) if case else 600
+    payload = r.randbytes(16 * blocks + (r.randrange(1, 16) if partial else 0))
+    expect = reference_xcb_v2(master, tweak, payload, mode.inc32, encrypt)
+    keys = mode.derive(master)
+    args = (keys, BitString(tweak), BitString(payload), encrypt, partial)
+    assert mode.crypt(*args).data != expect
+    monkeypatch.setattr(polyhash, "_xcb_hash", gcm_order_xcb_hash)
+    assert mode.crypt(*args).data == expect

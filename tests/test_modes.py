@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfref import inc
+from gfref import FeistelCipher, inc
 from wideblock import field, modes
 from wideblock.attacks import IdealPermutationOracle
-from wideblock.blockcipher import BadKeyLength, FeistelCipher
+from wideblock.blockcipher import BadKeyLength
 from wideblock.field import FieldElement
 from wideblock.modes import (
     MXCBV1,
@@ -70,7 +70,6 @@ def test_derive_v1_replays_the_definition():
     assert keys.ke.key == em.encrypt_block(const(0x00))
     assert keys.kd.key == em.encrypt_block(const(0x04))
     assert keys.kc.key == em.encrypt_block(const(0x02))
-    assert keys.derived
 
 
 def test_derive_v1_distinct_masters_and_hash_keys():
@@ -179,6 +178,24 @@ def test_hctr_round_trip(fixed, nbits):
     c = hctr_encrypt(keys, tweak, payload, fixed_hash=fixed)
     assert c.bitlen == nbits
     assert hctr_decrypt(keys, tweak, c, fixed_hash=fixed) == payload
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hctr_fix_is_hctr_under_the_tweak_with_a_1_bit_appended(seed):
+    """The repaired hash hashes rest || T || 1, so hctr-fix under T is hctr
+    under T || 1, in both directions: random AES master keys, tweaks of
+    0-300 bits and payloads of 128-2,000 bits."""
+    r = random.Random(seed)
+    fix, plain = modes.MODES["hctr-fix"], modes.MODES["hctr"]
+    one = BitString.from_int(1, 1)
+    for _ in range(50):
+        keys = fix.derive(r.randbytes(32))
+        t_bits, p_bits = r.randrange(301), r.randrange(128, 2001)
+        tweak = BitString.from_int(r.getrandbits(t_bits), t_bits)
+        payload = BitString.from_int(r.getrandbits(p_bits), p_bits)
+        for encrypt in (True, False):
+            assert fix.crypt(keys, tweak, payload, encrypt, False) == plain.crypt(
+                keys, tweak + one, payload, encrypt, False)
 
 
 def _peak(call) -> int:
@@ -436,12 +453,11 @@ def test_inject_nothing_is_identity():
     assert inject_subkeys(keys) is keys
 
 
-def test_inject_marks_non_derived_and_replaces():
+def test_inject_replaces_the_key_the_mode_uses():
     keys = fresh_v2_keys()
     weak = field.element_of_order(3)
     injected = inject_subkeys(keys, h=weak)
     assert injected.h == weak
-    assert not injected.derived
     assert injected.ke is keys.ke
     # the injected key set is what the mode actually uses
     payload = BitString(rng.randbytes(48))
@@ -455,7 +471,7 @@ def test_inject_unknown_field_rejected():
         inject_subkeys(fresh_v2_keys(), nonsense=1)
 
 
-@pytest.mark.parametrize("name", ["scheme", "derived"])
+@pytest.mark.parametrize("name", ["scheme"])
 def test_inject_rejects_non_subkey_fields(name):
     with pytest.raises(TypeError):
         inject_subkeys(fresh_v2_keys(), **{name: 1})
@@ -479,7 +495,6 @@ def test_inject_keeps_untouched_subkeys_as_the_same_objects():
     (XCBV1, "scheme"),
     (MXCBV2, "inc32"),
     (hctr_keys(bytes(32), factory=FeistelCipher), "h"),
-    (hctr_keys(bytes(32), factory=FeistelCipher), "derived"),
 ])
 def test_fields_cannot_be_assigned(obj, name):
     with pytest.raises(AttributeError):
