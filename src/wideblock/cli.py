@@ -14,8 +14,8 @@ cipher path (block cipher, field, hash, counter and modes).
 CLI payloads are whole files, so byte-aligned; bit-granular inputs exist
 only inside the attack harness.  Identical (argv, seed, input) always
 produces identical output.  Usage errors exit 2 and data errors exit 1
-with a one-line diagnostic; output that its reader closes early exits 1
-with none.
+with a one-line diagnostic, as does running out of memory; output that
+its reader closes early exits 1 with none.
 """
 
 from __future__ import annotations
@@ -284,6 +284,11 @@ def main(argv: list[str] | None = None) -> int:
         # Python's documented recipe: point stdout at the null device, so
         # the flush at exit cannot fail again, and exit 1 without a message.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except MemoryError:
+        # Its text is empty.  Whole files are held in memory, so a large
+        # input can pass the size check and still not fit.
+        print("error: out of memory", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

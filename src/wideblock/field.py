@@ -8,17 +8,19 @@ multiplicative identity.  The field is reduced by the fixed polynomial
 
 which in this ordering is the constant 0x87 plus the implicit x^128 term.
 
-Everything runs on plain ints.  Each fixed GF(2)-linear map (the product
-by a hash key h or by the base of ``pow``, squaring, and the square root)
-is applied through a table (Shoup 1996; McGrew & Viega, "The
+Everything runs on plain ints.  Every fixed GF(2)-linear map (the
+product by an element, ``mul`` included, squaring and the square root) is
+applied through a table (Shoup 1996; McGrew & Viega, "The
 Galois/Counter Mode of Operation", section 4), and every table is built
 one way, from the map's images of x^0..x^127: ``_table`` gives the 16
 images of each nibble of an operand (32 rows of ``_nibble_row``, about
 22 KB) and ``_byte_rows`` combines them into the 256 images of each byte
 (16 rows, about 213 KB).  A map is then one lookup per nibble, or byte.
 
-A key's 4-bit table is built from h's ``_doublings`` on first use and kept
-on that ``FieldElement``.  A hash input of at least 2 KiB
+The product by an element h (a hash key, the multiplier of ``mul`` or
+the base of ``pow``) runs on h's 4-bit table, built from h's
+``_doublings`` on first use and kept on that ``FieldElement``; there is
+no per-call window.  A hash input of at least 2 KiB
 (``BYTE_TABLE_BLOCKS`` blocks) runs on h's 8-bit table instead, built on
 the first such input and also kept on h.  It halves the lookups per block
 but takes a further 0.2-0.3 ms to build (CPython 3.11, 2-vCPU Xeon), which
@@ -187,15 +189,6 @@ def _byte_rows(table: tuple) -> tuple:
     return tuple(tuple([low ^ high for high in highs for low in lows]) for lows, highs in table)
 
 
-def _reduce(p: int) -> int:
-    """p mod f for a polynomial p of degree below 256: x^128 = x^7 + x^2 + x + 1
-    folds the high half down twice (the second fold clears at most 7 bits)."""
-    for _ in range(2):
-        high = p >> 128
-        p = (p & _MASK128) ^ high ^ (high << 1) ^ (high << 2) ^ (high << 7)
-    return p
-
-
 def _key_table(h: FieldElement) -> tuple:
     """h's 4-bit table, the table of the product by h, built from h's
     doublings on first use and kept on h."""
@@ -306,11 +299,6 @@ def _hash(h: FieldElement, *parts: bytes) -> int:
     return _horner(_key_table(h), 0, _blocks(parts))
 
 
-def _times(a: int, table: tuple) -> int:
-    """a*h for the h whose table this is: one Horner step over a zero block."""
-    return _horner(table, a, (0,))
-
-
 @functools.cache
 def _square_table() -> tuple:
     """The 8-bit table of squaring, which is GF(2)-linear: x^k -> x^2k."""
@@ -323,16 +311,10 @@ def add(a: FieldElement, b: FieldElement) -> FieldElement:
 
 
 def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Multiplication modulo x^128 + x^7 + x^2 + x + 1.
-
-    A 4-bit window: the 16 multiples of a, then one shift and two lookups
-    per byte of b, then one reduction of the 255-bit product.
-    """
-    window = _nibble_row(*_doublings(a.value, 4))
-    acc = 0
-    for byte in b.value.to_bytes(16, "big"):
-        acc = (acc << 8) ^ (window[byte >> 4] << 4) ^ window[byte & 15]
-    return FieldElement(_reduce(acc))
+    """Multiplication modulo x^128 + x^7 + x^2 + x + 1: one Horner step of
+    a over b's 4-bit table, which is built on first use and kept on b, so
+    further products by the same b only look it up."""
+    return FieldElement(_horner(_key_table(b), a.value, (0,)))
 
 
 def square(a: FieldElement) -> FieldElement:
@@ -351,7 +333,7 @@ def pow(a: FieldElement, e: int) -> FieldElement:  # noqa: A001 - mirrors math n
     for bit in bin(e)[3:]:
         r = _horner_bytes(squares, r, (0,))
         if bit == "1":
-            r = _times(r, table)
+            r = _horner(table, r, (0,))
     return FieldElement(r)
 
 

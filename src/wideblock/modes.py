@@ -207,12 +207,14 @@ def _xcb_hash(variant: Mode, keys: TesKeySet, t: bytes, t_bits: int, data: bytes
 
     v1 hashes (data, tweak) under h1 first and under h2 second.  v2 uses its
     one key twice.  The first hash takes (0^128 || tweak) against the
-    padded data followed by 0^128.  The second takes (tweak || 0^128)
-    against the padded data and an explicit block of the two unpadded
-    lengths: that is the plain hash of (tweak || 0^128, data), whose own
-    length block is that block.  Padding is zero bits, so a 0^128 after a
-    tweak is one more zero part.  ``polyhash._split`` reads data in place,
-    up to ``data_bits``.
+    padded data followed by 0^128.  Horner's rule from 0 gives the leading
+    0^128 no term, so that block is not hashed, but its 128 bits still
+    count in the length block.  The second takes (tweak || 0^128) against
+    the padded data and an explicit block of the two unpadded lengths: that
+    is the plain hash of (tweak || 0^128, data), whose own length block is
+    that block.  Padding is zero bits, so a 0^128 after a tweak is one more
+    zero part.  ``polyhash._split`` reads data in place, up to
+    ``data_bits``.
     """
     parts = polyhash._split(data, data_bits)
     if variant.scheme == "xcbv1":
@@ -220,7 +222,7 @@ def _xcb_hash(variant: Mode, keys: TesKeySet, t: bytes, t_bits: int, data: bytes
     if first:
         padded_bits = data_bits + -data_bits % BLOCK_BITS + BLOCK_BITS
         return polyhash._xcb_hash(keys.h, BLOCK_BITS + t_bits, padded_bits,
-                                  _ZERO_BLOCK, t, *parts, _ZERO_BLOCK)
+                                  t, *parts, _ZERO_BLOCK)
     return polyhash._xcb_hash(keys.h, t_bits + BLOCK_BITS, data_bits, t, _ZERO_BLOCK, *parts)
 
 

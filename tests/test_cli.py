@@ -231,6 +231,26 @@ def test_non_regular_input_is_refused_before_opening(tmp_path, command, source):
     assert not out.exists()
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource.RLIMIT_AS")
+def test_input_that_does_not_fit_in_memory_is_one_error_line(tmp_path):
+    """A 1 GiB file passes the 2^39-bit size check, but whole files are held
+    in memory, so reading it under a 512 MiB address space raises
+    ``MemoryError``, whose own text is empty.  That is one error line that
+    names memory and exit 1: no traceback, and no ``--out``."""
+    path = tmp_path / "big.bin"
+    with open(path, "wb") as f:
+        f.truncate(1 << 30)  # sparse: no disk blocks are written
+    out = tmp_path / "out.bin"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "encrypt", "--mode", "xcbv2", "--key", "00" * 16,
+         "--in", str(path), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "error: out of memory\n")
+    assert not out.exists()
+
+
 def test_bounds_table(capsys):
     code, out, _ = run(capsys, "bounds")
     assert code == 0

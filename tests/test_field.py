@@ -48,6 +48,19 @@ def test_mul_against_reduction_oracle():
         assert field.mul(a, b) == mul_oracle(a, b)
 
 
+def test_mul_keeps_the_multipliers_table(monkeypatch):
+    """mul(a, b) is one step over b's 4-bit table, built once and kept on b."""
+    a, b, c = rand_element(), rand_element(), rand_element()
+    expect = mul_oracle(a, b), mul_oracle(c, b)
+    built = []
+    table = field._table
+    monkeypatch.setattr(field, "_table", lambda images: built.append(1) or table(images))
+    assert field.mul(a, b) == expect[0]
+    assert len(built) == 1 and b._mul_table is field._key_table(b)
+    assert field.mul(c, b) == expect[1]
+    assert len(built) == 1
+
+
 def test_algebraic_laws():
     check_field_laws(random.Random(1), 10_000)
 
