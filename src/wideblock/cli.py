@@ -9,7 +9,10 @@ name; any other option is a usage error.
 
 Only ``attack`` and ``weakkey`` load ``attacks``, and only ``bounds`` and
 ``incsets`` load ``analysis``; ``encrypt``/``decrypt`` import just the
-cipher path (block cipher, field, hash, counter and modes).
+cipher path (block cipher, field, hash, counter and modes).  The AES
+backend, ``cryptography``, loads at the first key derivation, so only
+``encrypt``, ``decrypt`` and ``attack`` load it; without it they exit 1
+with a one-line error, and ``bounds``, ``incsets`` and ``weakkey`` run.
 
 CLI payloads are whole files, so byte-aligned; bit-granular inputs exist
 only inside the attack harness.  Identical (argv, seed, input) always
@@ -290,7 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         # input can pass the size check and still not fit.
         print("error: out of memory", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, ImportError) as exc:
+        # ImportError: the first keyed cipher imports the AES backend, so a
+        # missing ``cryptography`` shows here ("No module named 'cryptography'").
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

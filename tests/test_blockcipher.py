@@ -1,7 +1,11 @@
+import builtins
+import os
 import random
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -169,3 +173,65 @@ def test_aes_first_decrypt_races_from_four_threads():
     finally:
         sys.setswitchinterval(old)
     assert all(cipher._decryptor is not None for cipher in shared)
+
+
+#: Eight threads meet at a barrier, then each builds its first
+#: ``AesCipher`` at once, in a process that has not yet imported the AES
+#: backend; prints each thread's ``encrypt_blocks`` output as hex.
+_FIRST_BINDING_RACE = """
+import sys, threading
+from wideblock.blockcipher import AesCipher
+assert "cryptography" not in sys.modules
+keys, data = [bytes.fromhex(k) for k in sys.argv[1:9]], bytes.fromhex(sys.argv[9])
+out = [None] * 8
+start = threading.Barrier(8)
+
+def worker(i):
+    start.wait(timeout=60)
+    out[i] = AesCipher(keys[i]).encrypt_blocks(data)
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads)
+print(*(o.hex() for o in out))
+"""
+
+
+def test_aes_first_binding_races_from_eight_threads():
+    """The first ``AesCipher`` imports the AES backend; eight built at the
+    same moment in a fresh interpreter must each encrypt as a context
+    built directly from ``cryptography`` does."""
+    keys = [rng.randbytes(rng.choice((16, 24, 32))) for _ in range(8)]
+    data = rng.randbytes(16 * 64)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_BINDING_RACE, *(k.hex() for k in keys), data.hex()],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    expect = []
+    for key in keys:
+        ctx = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+        expect.append((ctx.update(data) + ctx.finalize()).hex())
+    assert proc.stdout.split() == expect
+
+
+def test_aes_construction_after_the_first_imports_nothing(monkeypatch):
+    """The backend is bound once per process: building a cipher after the
+    first makes no import statement, which costs about 1.2 us a build."""
+    AesCipher(bytes(16))
+    imports = []
+    real_import = builtins.__import__
+
+    def counting_import(*args, **kwargs):
+        imports.append(args[0])
+        return real_import(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    for key in (rng.randbytes(16) for _ in range(100)):
+        AesCipher(key)
+    monkeypatch.undo()
+    assert imports == []

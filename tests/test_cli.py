@@ -96,6 +96,90 @@ def test_encrypt_loads_only_the_cipher_layers(tmp_path):
     assert sorted(set(_NOT_ON_THE_CIPHER_PATH) & (loaded - baseline)) == []
 
 
+def _cryptography_modules(loaded: set[str]) -> list[str]:
+    return sorted(name for name in loaded if name.split(".")[0] == "cryptography")
+
+
+def _main_quietly(argv: list[str]) -> str:
+    """Code that runs ``cli.main(argv)`` with its output discarded and
+    requires exit 0."""
+    return ("import contextlib, io\nfrom wideblock import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0")
+
+
+def test_importing_the_package_loads_no_cryptography():
+    layers = ", ".join(f"wideblock.{layer}" for layer in (
+        "field", "polyhash", "ctr", "blockcipher", "modes", "attacks", "analysis", "cli"))
+    loaded = _modules_loaded_by(f"import wideblock, {layers}")
+    assert "wideblock.blockcipher" in loaded
+    assert _cryptography_modules(loaded) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds"],
+    ["incsets", "--width", "32", "--rmax", "1024"],
+    ["weakkey", "--h", field.element_of_order(17).to_hex()],
+], ids=lambda argv: argv[0])
+def test_analysis_commands_load_no_cryptography(argv):
+    """The bound table, the offset sets and the weak-key scan key no
+    cipher, so they never load the AES backend."""
+    loaded = _modules_loaded_by(_main_quietly(argv))
+    assert "wideblock.attacks" in loaded or "wideblock.analysis" in loaded
+    assert _cryptography_modules(loaded) == []
+
+
+def test_encrypt_loads_cryptography(tmp_path):
+    plain = tmp_path / "plain.bin"
+    plain.write_bytes(bytes(16))
+    argv = ["encrypt", "--mode", "xcbv2", "--key", "00" * 16,
+            "--in", str(plain), "--out", str(tmp_path / "enc.bin")]
+    loaded = _modules_loaded_by(_main_quietly(argv))
+    assert "cryptography.hazmat.primitives.ciphers" in loaded
+
+
+def test_bad_aes_key_length_loads_no_cryptography():
+    """The key length is checked before the backend is imported."""
+    loaded = _modules_loaded_by(
+        "from wideblock.blockcipher import AesCipher, BadKeyLength\n"
+        "try:\n    AesCipher(bytes(5))\nexcept BadKeyLength:\n    pass\n"
+        "else:\n    raise AssertionError('AesCipher took a 5-byte key')"
+    )
+    assert _cryptography_modules(loaded) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["encrypt", "--mode", "xcbv1", "--key", "00" * 16],
+    ["decrypt", "--mode", "hctr", "--key", "00" * 32],
+    ["attack", "hctr-distinguish", "--trials", "1"],
+    ["attack", "hctr-recover"],
+    ["attack", "hctr-keydep"],
+    ["attack", "xcb-cycle", "--mode", "mxcbv2"],
+    ["bounds"],
+    ["incsets", "--width", "32", "--rmax", "1024"],
+    ["weakkey", "--h", field.element_of_order(17).to_hex()],
+], ids=lambda argv: argv[1] if argv[0] == "attack" else argv[0])
+def test_commands_without_the_aes_backend(tmp_path, argv):
+    """With ``cryptography`` unimportable, a command that keys a cipher
+    exits 1 with one error line naming it; the others run as usual."""
+    if argv[0] in ("encrypt", "decrypt"):
+        plain = tmp_path / "plain.bin"
+        plain.write_bytes(bytes(32))
+        argv = argv + ["--in", str(plain), "--out", str(tmp_path / "out.bin")]
+    code = ("import sys\nsys.modules['cryptography'] = None\n"
+            f"from wideblock import cli\nsys.exit(cli.main({argv!r}))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    if argv[0] not in ("encrypt", "decrypt", "attack"):
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "cryptography" in proc.stderr
+    assert not (tmp_path / "out.bin").exists()
+
+
 def test_encrypt_builds_no_constant_field_table(tmp_path):
     """Squaring's and sqrt's tables are built on first use, which neither
     importing the package nor an encrypt makes."""
