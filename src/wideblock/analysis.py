@@ -57,7 +57,10 @@ def _check_range(width: int, r_max: int) -> None:
 
 
 def w_set(width: int, r: int) -> frozenset[int]:
-    """W_r at any width from the closed form in the module docstring."""
+    """W_r at any width from the closed form in the module docstring.
+
+    Only tests call it; it stays public as the proved statement, which they
+    check set by set against the brute force in ``tests/gfref.py``."""
     _check_range(width, r)
     if r == 0:
         return frozenset({0})

@@ -35,8 +35,7 @@ from .field import FieldElement
 from .modes import Mode, TesKeySet
 from .polyhash import BLOCK_BITS, BitString, block_to_field, field_to_block, hctr_hash
 
-# pad of a single 1 bit: the x^127 monomial, and its inverse x^-127
-_PAD_ONE = FieldElement(1 << 127)
+# x^-127: a single 1 bit padded to a block is the monomial x^127
 _PAD_ONE_INV = FieldElement(0xB604395D27EF1A8B604395D27EF1A8EE)
 
 _ZERO_BIT = BitString.from_int(0, 1)

@@ -148,7 +148,6 @@ class FieldElement:
         return mul(self, other)
 
 
-ZERO = FieldElement(0)
 ONE = FieldElement(1)
 
 
@@ -315,10 +314,6 @@ def mul(a: FieldElement, b: FieldElement) -> FieldElement:
     a over b's 4-bit table, which is built on first use and kept on b, so
     further products by the same b only look it up."""
     return FieldElement(_horner(_key_table(b), a.value, (0,)))
-
-
-def square(a: FieldElement) -> FieldElement:
-    return FieldElement(_horner_bytes(_square_table(), a.value, (0,)))
 
 
 def pow(a: FieldElement, e: int) -> FieldElement:  # noqa: A001 - mirrors math naming

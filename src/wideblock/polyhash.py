@@ -118,10 +118,6 @@ class BitString:
         return cls(b"", 0)
 
     @classmethod
-    def zeros(cls, nbits: int) -> "BitString":
-        return cls(bytes((nbits + 7) // 8), nbits)
-
-    @classmethod
     def from_int(cls, value: int, nbits: int) -> "BitString":
         """The nbits-bit big-endian representation of value."""
         if value < 0 or (nbits < value.bit_length()):
@@ -238,16 +234,10 @@ def _hctr_hash(h: FieldElement, p: bytes, p_bits: int, t: bytes, t_bits: int) ->
 
 def hctr_hash(h: FieldElement, p: BitString) -> FieldElement:
     """HCTR polynomial hash: the bare key for the empty string, otherwise
-    blocks at powers m+1..2 with the bit length at power one."""
-    return FieldElement(_hctr_hash(h, p.data, p.bitlen, b"", 0))
+    blocks at powers m+1..2 with the bit length at power one.
 
-
-def hctr_hash_fixed(h: FieldElement, p: BitString) -> FieldElement:
-    """Repaired HCTR hash: ``hctr_hash`` of p || 1, with the single 1 bit
-    passed as the second part.
-
-    Appending the bit makes every input non-empty and removes the collision
-    between the empty string and a single 0 bit, whose images both equal the
-    bare key under the original definition.
+    Hence the empty string and a single 0 bit both hash to the bare key.
+    hctr-fix removes that collision by hashing p || 1, which is never
+    empty: it is HCTR under the tweak T || 1 (``modes._hctr``).
     """
-    return FieldElement(_hctr_hash(h, p.data, p.bitlen, b"\x80", 1))
+    return FieldElement(_hctr_hash(h, p.data, p.bitlen, b"", 0))

@@ -50,7 +50,6 @@ from wideblock.polyhash import (
     BitString,
     field_to_block,
     hctr_hash,
-    hctr_hash_fixed,
     xcb_hash,
 )
 
@@ -259,13 +258,13 @@ def ctr_blockwise(cipher, s: BitString, data: BitString, inc32: bool) -> BitStri
 # partial-block checks, joining bit strings with ``concat``
 
 
-_BLOCK = BitString.zeros(128)
+_BLOCK = BitString.from_int(0, 128)
 
 
 def _pad_to_blocks(x: BitString) -> BitString:
     if x.bitlen % 128 == 0:
         return x
-    return concat(x, BitString.zeros(128 - x.bitlen % 128))
+    return concat(x, BitString.from_int(0, 128 - x.bitlen % 128))
 
 
 def _split(data: BitString, special_last: bool) -> tuple[BitString, BitString]:
@@ -304,13 +303,14 @@ def hctr_crypt(keys, tweak: BitString, payload: BitString, fixed_hash: bool,
                forward: bool) -> BitString:
     """U = x xor H(rest || T), V = pi(U), the counter from U xor V over the
     rest, then y = V xor H(out || T), with pi = E or D."""
-    hash_fn = hctr_hash_fixed if fixed_hash else hctr_hash
+    # the repaired hash is hctr_hash of its input with a 1 bit appended
+    one = BitString.from_int(1, 1) if fixed_hash else BitString.empty()
     pi = keys.k.encrypt_block if forward else keys.k.decrypt_block
     x, rest = _split(payload, False)
-    u = x ^ field_to_block(hash_fn(keys.h, concat(rest, tweak)))
+    u = x ^ field_to_block(hctr_hash(keys.h, concat(concat(rest, tweak), one)))
     v = BitString(pi(u.data))
     out = ctr.xor_ctr(keys.k, u ^ v, rest) if rest.bitlen else rest
-    return concat(v ^ field_to_block(hash_fn(keys.h, concat(out, tweak))), out)
+    return concat(v ^ field_to_block(hctr_hash(keys.h, concat(concat(out, tweak), one))), out)
 
 
 def carry_class_offsets(width: int, r: int) -> frozenset[int]:

@@ -30,8 +30,8 @@ def test_group_order_factors_multiply_out():
 
 def test_add_identities():
     a = rand_element()
-    assert field.add(a, field.ZERO) == a
-    assert field.add(a, a) == field.ZERO
+    assert field.add(a, FieldElement(0)) == a
+    assert field.add(a, a) == FieldElement(0)
     assert field.add(FieldElement(1), FieldElement(2)) == FieldElement(3)
 
 
@@ -68,7 +68,7 @@ def test_algebraic_laws():
 def test_pow_basics():
     a = rand_element()
     assert field.pow(a, 1) == a
-    assert field.pow(field.ZERO, 0) == field.ONE
+    assert field.pow(FieldElement(0), 0) == field.ONE
     assert field.pow(a, 3) == field.mul(a, field.mul(a, a))
 
 
@@ -83,7 +83,7 @@ def test_pow_group_order():
 def test_inv():
     assert field.inv(field.ONE) == field.ONE
     with pytest.raises(ZeroInverse):
-        field.inv(field.ZERO)
+        field.inv(FieldElement(0))
     for _ in range(1000):
         a = rand_element()
         if a.value == 0:
@@ -94,13 +94,13 @@ def test_inv():
 
 
 def test_sqrt():
-    assert field.sqrt(field.ZERO) == field.ZERO
+    assert field.sqrt(FieldElement(0)) == FieldElement(0)
     assert field.sqrt(field.ONE) == field.ONE
-    assert field.sqrt(field.square(X)) == X
+    assert field.sqrt(field.pow(X, 2)) == X
     for _ in range(1000):
         a = rand_element()
-        assert field.sqrt(field.square(a)) == a
-        assert field.square(field.sqrt(a)) == a
+        assert field.sqrt(field.pow(a, 2)) == a
+        assert field.pow(field.sqrt(a), 2) == a
 
 
 @pytest.mark.parametrize("order", [3, 5, 17, 15, 257])
@@ -147,7 +147,7 @@ def test_order_divisor():
     assert field.order_divisor(field.element_of_order(3), 10) == 3
     assert field.order_divisor(field.element_of_order(17), 100) == 17
     with pytest.raises(ZeroElement):
-        field.order_divisor(field.ZERO, 10)
+        field.order_divisor(FieldElement(0), 10)
     # a uniformly random key lies in a small subgroup only with
     # negligible probability, so absence is the expected outcome
     for _ in range(5):
@@ -172,7 +172,7 @@ def test_element_is_immutable():
 
 
 def test_sqrt_of_x_constant():
-    assert field.square(field._SQRT_X) == X
+    assert field.pow(field._SQRT_X, 2) == X
     assert field._SQRT_X == gfref.sqrt(X)
 
 
@@ -190,7 +190,7 @@ def test_square_and_pow_on_every_basis_vector():
     runs its squarings through the same table, with a multiply after some."""
     for k in range(128):
         basis = FieldElement(1 << k)
-        assert field.square(basis) == gfref.mul(basis, basis), k
+        assert field.pow(basis, 2) == gfref.mul(basis, basis), k
         assert field.pow(basis, 0b1011) == gfref.pow(basis, 0b1011), k
 
 

@@ -60,7 +60,7 @@ def test_mul_horner_chain_matches_ghash(case):
     h, ciphertext, ghash = openssl_ghash(key, aad, plaintext)
     h_field = FieldElement(rev(int.from_bytes(h, "big")))
     data = aad + ciphertext + length_block(aad, ciphertext)
-    acc = field.ZERO
+    acc = FieldElement(0)
     for i in range(0, len(data), 16):
         block = FieldElement(rev(int.from_bytes(data[i : i + 16], "big")))
         acc = field.mul(acc + block, h_field)

@@ -332,7 +332,7 @@ def test_xcbv1_and_mxcbv1_differ_only_in_keystream():
     keys = fresh_v1_keys()
     tweak = rand_bits(64)
     p1 = rand_bits(128)
-    zeros_tail = BitString.zeros(3 * 128)
+    zeros_tail = BitString.from_int(0, 3 * 128)
     payload = p1 + zeros_tail
 
     cc = BitString(keys.ke.encrypt_block(p1.data))
@@ -425,7 +425,7 @@ def test_v2_distinguisher_off_block_boundaries(name, agreements, rest_bits, zero
     block B under one tweak, A || B and A || 0^j || B share S and so agree
     on their first |A| bits, for every key.  Under the other modes and an
     ideal permutation they agree for none of 200 keys."""
-    pad = BitString.zeros(zero_bits)
+    pad = BitString.from_int(0, zero_bits)
     hits = 0
     for i in range(200):
         if name == "ideal":
