@@ -18,13 +18,16 @@ images of each nibble of an operand (32 rows of ``_nibble_row``, about
 (16 rows, about 213 KB).  A map is then one lookup per nibble, or byte.
 
 The product by an element h (a hash key, the multiplier of ``mul`` or
-the base of ``pow``) runs on h's 4-bit table, built from h's
-``_doublings`` on first use and kept on that ``FieldElement``; there is
-no per-call window.  A hash input of at least 2 KiB
-(``BYTE_TABLE_BLOCKS`` blocks) runs on h's 8-bit table instead, built on
-the first such input and also kept on h.  It halves the lookups per block
-but takes a further 0.2-0.3 ms to build (CPython 3.11, 2-vCPU Xeon), which
-short inputs under fresh keys (the attack demos) would never repay.
+the base of ``pow``) runs on h's 4-bit table, ``h._mul_table``, built
+from h's ``_doublings`` on first use and kept on that ``FieldElement``;
+there is no per-call window.  A hash input of at least 2 KiB
+(``BYTE_TABLE_BLOCKS`` blocks) runs on h's 8-bit table instead,
+``h._byte_table``, built on the first such input and also kept on h.
+Both are ``functools.cached_property`` attributes, freed with h; probing
+one with ``hasattr`` builds it.  The 8-bit table halves the lookups per
+block but takes a further 0.2-0.3 ms to build (CPython 3.11, 2-vCPU
+Xeon), which short inputs under fresh keys (the attack demos) would never
+repay.
 Squaring (x^k -> x^2k) and the square root (x^2k -> x^k, x^(2k+1) ->
 x^k * sqrt(x)) each have a constant 8-bit table, built on first use and
 kept for the process; hashing and enciphering build neither.
@@ -95,12 +98,14 @@ class NotADivisor(ValueError):
 class FieldElement:
     """An element of GF(2^128), stored as a 128-bit integer.
 
-    Two more slots hold the element's 4-bit and 8-bit multiplication tables
-    once it has been used as a fixed multiplier; equality, hashing and
-    immutability depend on ``value`` alone.
+    Its 4-bit and 8-bit multiplication tables are cached properties,
+    ``_mul_table`` and ``_byte_table``: each is built on first read and kept
+    in the instance dict, so probing one with ``hasattr`` builds it (read
+    ``vars(h)`` to see which exist).  Equality, hashing and immutability
+    depend on ``value`` alone.
     """
 
-    __slots__ = ("value", "_mul_table", "_byte_table")
+    __slots__ = ("value", "__dict__")
 
     def __init__(self, value: int):
         if type(value) is not int:
@@ -147,6 +152,16 @@ class FieldElement:
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         return mul(self, other)
 
+    @functools.cached_property
+    def _mul_table(self) -> tuple:
+        """The 4-bit table of the product by this element."""
+        return _table(_doublings(self.value))
+
+    @functools.cached_property
+    def _byte_table(self) -> tuple:
+        """The 8-bit table of the product by this element."""
+        return _byte_rows(self._mul_table)
+
 
 ONE = FieldElement(1)
 
@@ -188,17 +203,6 @@ def _byte_rows(table: tuple) -> tuple:
     return tuple(tuple([low ^ high for high in highs for low in lows]) for lows, highs in table)
 
 
-def _key_table(h: FieldElement) -> tuple:
-    """h's 4-bit table, the table of the product by h, built from h's
-    doublings on first use and kept on h."""
-    try:
-        return h._mul_table
-    except AttributeError:
-        table = _table(_doublings(h.value))
-        object.__setattr__(h, "_mul_table", table)
-        return table
-
-
 def _horner(table: tuple, acc: int, blocks: Iterable[int]) -> int:
     """Horner steps acc = (acc + c)*h over the 128-bit ints c of blocks, for
     the h whose table this is.
@@ -224,16 +228,6 @@ def _horner(table: tuple, acc: int, blocks: Iterable[int]) -> int:
             ^ l14[b14 & 15] ^ h14[b14 >> 4] ^ l15[b15 & 15] ^ h15[b15 >> 4]
         )
     return acc
-
-
-def _key_byte_table(h: FieldElement) -> tuple:
-    """h's 8-bit table, built from the 4-bit one on first use and kept on h."""
-    try:
-        return h._byte_table
-    except AttributeError:
-        table = _byte_rows(_key_table(h))
-        object.__setattr__(h, "_byte_table", table)
-        return table
 
 
 def _horner_bytes(table: tuple, acc: int, blocks: Iterable[int]) -> int:
@@ -294,8 +288,8 @@ def _hash(h: FieldElement, *parts: bytes) -> int:
     in turn, each part padded with zero bytes to whole blocks: the sum of
     c_i * h^(m - i + 1) over the m blocks c_1..c_m."""
     if sum(map(len, parts)) >= 16 * BYTE_TABLE_BLOCKS:
-        return _horner_bytes(_key_byte_table(h), 0, _blocks(parts))
-    return _horner(_key_table(h), 0, _blocks(parts))
+        return _horner_bytes(h._byte_table, 0, _blocks(parts))
+    return _horner(h._mul_table, 0, _blocks(parts))
 
 
 @functools.cache
@@ -313,7 +307,7 @@ def mul(a: FieldElement, b: FieldElement) -> FieldElement:
     """Multiplication modulo x^128 + x^7 + x^2 + x + 1: one Horner step of
     a over b's 4-bit table, which is built on first use and kept on b, so
     further products by the same b only look it up."""
-    return FieldElement(_horner(_key_table(b), a.value, (0,)))
+    return FieldElement(_horner(b._mul_table, a.value, (0,)))
 
 
 def pow(a: FieldElement, e: int) -> FieldElement:  # noqa: A001 - mirrors math naming
@@ -323,7 +317,7 @@ def pow(a: FieldElement, e: int) -> FieldElement:  # noqa: A001 - mirrors math n
         raise ValueError("exponent must be non-negative")
     if e == 0:
         return ONE
-    table, squares = _key_table(a), _square_table()
+    table, squares = a._mul_table, _square_table()
     r = a.value
     for bit in bin(e)[3:]:
         r = _horner_bytes(squares, r, (0,))

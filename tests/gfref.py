@@ -143,7 +143,7 @@ def row(v: int) -> tuple[list[int], int]:
 
 
 def key_table(h: FieldElement) -> tuple:
-    """h's 4-bit table (the layout of ``field._key_table``) from ``row``."""
+    """h's 4-bit table (the layout of ``FieldElement._mul_table``) from ``row``."""
     rows = []
     v = h.value
     for _ in range(32):

@@ -2,7 +2,8 @@
 
 Field: the 4-bit table build, the 4-bit and 8-bit table kernels (also
 around the block iterator's chunk size), generic ``mul``, squaring,
-``pow``, ``inv``, ``sqrt`` and ``order_divisor``.  Hashes: all three at
+``pow``, ``inv``, ``sqrt`` and ``order_divisor``, and a key's tables
+built on first use from eight threads at once.  Hashes: all three at
 lengths 0-600 bits, at 127, 128 and 129 hashed blocks (either side of the
 8-bit table threshold), around the chunk size and at 2-8 KiB, partial
 blocks included, HCTR's hash of (payload, tweak) parts against the hash of
@@ -16,6 +17,8 @@ against brute force.
 """
 
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -56,26 +59,26 @@ long_bit_strings = st.builds(
 def test_table_kernel(a, h):
     expect = gfref.mul(a, h)
     assert expect == gfref.mul_oracle(a, h)
-    assert field._horner(field._key_table(h), a.value, (0,)) == expect.value
+    assert field._horner(h._mul_table, a.value, (0,)) == expect.value
 
 
 @pytest.mark.parametrize("value", [0, 1, 1 << 127])
 def test_key_table_edge_keys(value):
-    assert field._key_table(FieldElement(value)) == gfref.key_table(FieldElement(value))
+    assert FieldElement(value)._mul_table == gfref.key_table(FieldElement(value))
 
 
 @settings(max_examples=50, deadline=None)
 @given(elements)
 def test_key_table(h):
-    assert field._key_table(h) == gfref.key_table(h)
+    assert h._mul_table == gfref.key_table(h)
 
 
 @settings(max_examples=30, deadline=None)
 @given(elements, elements, st.integers(min_value=0, max_value=160), st.integers(min_value=0))
 def test_byte_table_kernel(h, acc, blocks, seed):
     data = random.Random(seed).randbytes(16 * blocks)
-    expect = field._horner(field._key_table(h), acc.value, field._blocks((data,)))
-    assert field._horner_bytes(field._key_byte_table(h), acc.value, field._blocks((data,))) == expect
+    expect = field._horner(h._mul_table, acc.value, field._blocks((data,)))
+    assert field._horner_bytes(h._byte_table, acc.value, field._blocks((data,))) == expect
 
 
 _CHUNK = field._CHUNK_BLOCKS
@@ -92,8 +95,8 @@ def test_kernels_across_whole_chunks(blocks):
     data = r.randbytes(16 * blocks)
     folded = (int.from_bytes(data[:16], "big") ^ acc).to_bytes(16, "big") + data[16:]
     expect = gfref.xcb_hash_oracle(h, BitString(folded), BitString.empty(), False).value
-    assert field._horner(field._key_table(h), acc, field._blocks((data,))) == expect
-    assert field._horner_bytes(field._key_byte_table(h), acc, field._blocks((data,))) == expect
+    assert field._horner(h._mul_table, acc, field._blocks((data,))) == expect
+    assert field._horner_bytes(h._byte_table, acc, field._blocks((data,))) == expect
 
 
 @pytest.mark.parametrize("blocks", _AROUND_CHUNKS)
@@ -118,7 +121,7 @@ def test_block_iterator_holds_one_chunk_at_a_time():
     is the block iterator's own allocations, not the arithmetic's (about
     20 ints a block, which take a traced 4 MiB hash from 2 s to 9 s)."""
     h = FieldElement(0)
-    field._key_byte_table(h)
+    assert h._byte_table  # built before tracing starts
     data = random.Random(4).randbytes(4 << 20)
     tracemalloc.start()
     try:
@@ -180,17 +183,54 @@ def test_order_divisor_random_key(h):
 def test_cached_table_leaves_the_element_unchanged():
     h = FieldElement(0x0123456789ABCDEF0123456789ABCDEF)
     twin = FieldElement(h.value)
-    table = field._key_table(h)
-    byte_table = field._key_byte_table(h)
-    assert field._key_table(h) is table
-    assert field._key_byte_table(h) is byte_table
+    table = h._mul_table
+    byte_table = h._byte_table
+    assert h._mul_table is table
+    assert h._byte_table is byte_table
     assert h == twin and hash(h) == hash(twin) and {h: 1}[twin] == 1
     assert h.value == twin.value and repr(h) == repr(twin)
     for name in ("value", "_mul_table", "_byte_table"):
         with pytest.raises(AttributeError):
             setattr(h, name, 0)
-    assert field._key_table(h) is table
-    assert field._key_byte_table(h) is byte_table
+    assert h._mul_table is table
+    assert h._byte_table is byte_table
+
+
+def test_tables_built_on_first_use_from_several_threads():
+    """Eight threads, released at once, each hash one input of at least
+    ``BYTE_TABLE_BLOCKS`` blocks under one fresh key, so all race to build
+    its tables, with the switch interval shortened so that they interleave.
+    ``cached_property`` takes a lock on CPython 3.10-3.11 and none from
+    3.12 on, where a table may be built more than once; either way every
+    hash is right and a further hash reuses the kept tables."""
+    h = FieldElement(random.Random(8).getrandbits(128))
+    inputs = [random.Random(i).randbytes(16 * field.BYTE_TABLE_BLOCKS + 5 * i) for i in range(8)]
+    barrier = threading.Barrier(len(inputs), timeout=30)
+    results = [None] * len(inputs)
+
+    def run(i):
+        barrier.wait()
+        results[i] = field._hash(h, inputs[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expect = [
+        gfref.xcb_hash_oracle(h, BitString(data), BitString.empty(), False).value
+        for data in inputs
+    ]
+    assert results == expect
+    tables = vars(h)["_mul_table"], vars(h)["_byte_table"]
+    assert field._hash(h, inputs[0]) == expect[0]
+    assert vars(h)["_mul_table"] is tables[0] and vars(h)["_byte_table"] is tables[1]
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +306,9 @@ def test_byte_table_is_built_from_the_threshold_on():
     payload = BitString(bytes(16 * (field.BYTE_TABLE_BLOCKS - 2)))
     xcb_hash(short_key, payload, BitString.empty())
     hctr_hash(short_key, payload)
-    assert hasattr(short_key, "_mul_table") and not hasattr(short_key, "_byte_table")
+    assert "_mul_table" in vars(short_key) and "_byte_table" not in vars(short_key)
     hctr_hash(long_key, payload + payload.msb(128))
-    assert hasattr(long_key, "_byte_table")
+    assert "_byte_table" in vars(long_key)
 
 
 @settings(max_examples=8, deadline=None)
